@@ -12,9 +12,10 @@
 //!    none (DInf), CSLS, RInf (+ the RInf-wr / RInf-pb scalability
 //!    variants), and the Sinkhorn operation;
 //! 3. [`matching`] — matchers turning a score matrix into aligned pairs:
-//!    Greedy, the Hungarian algorithm (Jonker–Volgenant flavour),
-//!    Gale–Shapley stable matching, and the RL-style sequence-decision
-//!    matcher with coherence and exclusiveness rewards.
+//!    Greedy, the Hungarian algorithm (shortest augmenting paths with
+//!    Jonker–Volgenant's lazy Dijkstra, without JV's initialization
+//!    phases), Gale–Shapley stable matching, and the RL-style
+//!    sequence-decision matcher with coherence and exclusiveness rewards.
 //!
 //! Any metric x optimizer x matcher combination composes through
 //! [`MatchPipeline`]; the named presets of the paper's Table 2 are exposed

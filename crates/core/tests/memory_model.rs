@@ -15,7 +15,8 @@
 //! serializes on one lock — the counting switch is process-global.
 
 use entmatcher_core::matching::greedy::Greedy;
-use entmatcher_core::matching::MatchContext;
+use entmatcher_core::matching::hungarian::Hungarian;
+use entmatcher_core::matching::{MatchContext, Matcher};
 use entmatcher_core::pipeline::MatchPipeline;
 use entmatcher_core::score::csls::Csls;
 use entmatcher_core::score::rinf::RInf;
@@ -104,6 +105,30 @@ fn sinkhorn_measured_aux_is_in_place() {
         peak < matrix_bytes / 4,
         "in-place Sinkhorn measured {peak} B against a {matrix_bytes} B matrix"
     );
+}
+
+/// The Hungarian solver's measured peak stays inside its O(n + m) model
+/// for square, wide and tall inputs: tall ones are read in place, with no
+/// transposed copy of the matrix.
+#[test]
+fn hungarian_measured_aux_is_linear_for_every_shape() {
+    let _lock = locked();
+    for (n_s, n_t) in [(600, 600), (600, 900), (900, 600)] {
+        let scores = random_embeddings(n_s, n_t, 5);
+        let matrix_bytes = (n_s * n_t * 4) as u64;
+        let model = Hungarian.aux_bytes(n_s, n_t) as u64;
+        let peak = measured("mem.hungarian", || {
+            Hungarian.run(&scores, &MatchContext::default())
+        });
+        assert!(
+            peak <= model,
+            "{n_s}x{n_t}: modeled {model} B aux; measured {peak} B"
+        );
+        assert!(
+            peak < matrix_bytes / 16,
+            "{n_s}x{n_t}: measured {peak} B against a {matrix_bytes} B matrix"
+        );
+    }
 }
 
 /// Full RInf materializes transposed/rank copies (~4 extra cells); the
