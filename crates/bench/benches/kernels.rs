@@ -34,7 +34,7 @@
 use entmatcher_linalg::parallel::{self, par_row_chunks_mut};
 use entmatcher_linalg::{
     fused_topk, matmul_blocked, matmul_blocked_packed, matmul_blocked_with, matmul_naive, Matrix,
-    Precision, QuantPackedB, SimdLevel,
+    PackedAny, Precision, SimdLevel,
 };
 use entmatcher_support::alloc::{self, CountingAlloc};
 use entmatcher_support::json::{self, Json, Map, ToJson};
@@ -166,7 +166,7 @@ fn bench_config(
             ("blocked_int8", Precision::Int8),
         ] {
             let (secs, reps, heap_peak_bytes) = measure(kernel, max_reps, || {
-                let packed = QuantPackedB::pack(&b, precision);
+                let packed = PackedAny::pack(&b, precision);
                 black_box(matmul_blocked_packed(&a, &packed).unwrap());
             });
             entries.push(Entry {

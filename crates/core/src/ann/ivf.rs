@@ -2,10 +2,10 @@
 //!
 //! Every posting list stores its member rows twice: the original row ids
 //! (`Vec<u32>`) and the member embeddings re-packed into the blocked-GEMM
-//! strip layout at the configured [`Precision`] ([`PackedAny`]: f32
-//! [`PackedB`] strips, or f16/int8 quantized strips). Probing a list is
-//! therefore a call into the same fused similarity -> top-k kernel the
-//! exact path uses ([`entmatcher_linalg::fused_topk_packed`]) — the index
+//! strip layout at the configured [`Precision`] (a [`PackedAny`] of f32,
+//! f16 or int8 strips; the centroids are always packed at f32). Probing a
+//! list is therefore a call into the same fused similarity -> top-k kernel
+//! the exact path uses ([`entmatcher_linalg::fused_topk_packed`]) — the index
 //! only decides *which* strips get scanned, never *how* they are scanned,
 //! so at f32 scores are bit-identical to the dense pass for every
 //! candidate that is scanned at all. Strip sizing (panel granularity and
@@ -22,7 +22,7 @@
 //! test suite pins. Quantized postings keep the same structure but score
 //! candidates against the dequantized members.
 
-use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, PackedB, Precision, TopKAccumulator};
+use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision, TopKAccumulator};
 use entmatcher_support::telemetry;
 
 use super::kmeans;
@@ -72,7 +72,7 @@ struct PostingList {
 /// products, matching the `linalg::fused` convention — normalize rows
 /// before building/searching to get cosine.
 pub struct IvfIndex {
-    centroids_packed: PackedB,
+    centroids_packed: PackedAny,
     lists: Vec<PostingList>,
     nlist: usize,
     dim: usize,
@@ -124,7 +124,7 @@ impl IvfIndex {
             params.nprobe.min(nlist)
         };
         IvfIndex {
-            centroids_packed: PackedB::pack(&km.centroids),
+            centroids_packed: PackedAny::pack(&km.centroids, Precision::F32),
             lists,
             nlist,
             dim: d,

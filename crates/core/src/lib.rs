@@ -61,8 +61,7 @@ pub use score::{
 pub use similarity::{similarity_matrix, SimilarityMetric};
 pub use spec::{AlgorithmPreset, AlgorithmSpec, Direction};
 pub use streaming::{
-    streaming_csls, streaming_csls_at, streaming_csls_snapshot, streaming_greedy,
-    streaming_greedy_at, streaming_greedy_snapshot,
+    streaming_csls, streaming_csls_at, streaming_greedy, streaming_greedy_at, Targets,
 };
 
 /// Result alias for fallible core operations.

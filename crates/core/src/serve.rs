@@ -277,8 +277,10 @@ struct Inner {
 }
 
 /// The target side of the index: a resident matrix (required for IVF) or
-/// an already-packed operand (the `--stream-chunk` out-of-core load path,
-/// exact probes only).
+/// an already-packed operand (exact probes only), e.g. a snapshot
+/// streamed through `pack_snapshot_stream` by an embedding application.
+/// The CLI always builds [`TargetIndex::Matrix`]; its `--stream-chunk`
+/// only bounds memory while the snapshots load.
 pub enum TargetIndex {
     /// Resident target embeddings, packed at startup.
     Matrix(Matrix),

@@ -8,29 +8,36 @@
 //! only O(n) state:
 //!
 //! * [`streaming_greedy`] — DInf without the matrix: per-source running
-//!   argmax over target blocks;
-//! * [`streaming_csls`] — CSLS without the matrix: two passes; the first
-//!   accumulates both sides' top-k statistics with bounded per-entity
-//!   heaps, the second applies the CSLS correction on the fly.
+//!   argmax over the targets;
+//! * [`streaming_csls`] — CSLS without the matrix: the two neighbourhood
+//!   statistics come out of bounded per-entity heaps, then the decision
+//!   pass applies the CSLS correction on the fly.
 //!
-//! For cosine similarity both route through the **fused
+//! For cosine similarity both run one private driver over the **fused
 //! similarity -> reduction kernels** in `entmatcher_linalg::fused`: score
 //! tiles come straight out of the register-tiled GEMM micro-kernel and are
 //! reduced before the next tile is computed, so no strip of the score
-//! matrix is ever materialized at all. The distance metrics keep the
-//! strip-at-a-time loop (their pairwise kernels are not products).
+//! matrix is ever materialized. The driver reads its targets from a
+//! [`Targets`] source — resident rows, or a snapshot file read
+//! `chunk_rows` at a time — at any storage [`Precision`]
+//! ([`streaming_greedy_at`], [`streaming_csls_at`]), and keeps one packed
+//! operand alive at a time: the packed source for the target-side
+//! statistic, then the packed targets for the source-side statistic and
+//! the decision pass. The distance metrics keep the strip-at-a-time loop
+//! (their pairwise kernels are not products).
 //!
 //! Both produce *bit-identical decisions* to their dense counterparts
 //! (asserted by tests): the fused tiles reuse the exact d-sequential
 //! accumulation of the dense kernel, the bounded heaps report means in the
 //! same canonical order as `top_k_mean`, and the CSLS correction is
-//! evaluated in the same operation order.
+//! evaluated in the same operation order. Each row's scores depend only on
+//! that row and the packed operand, so a snapshot streamed in any chunk
+//! size decides exactly like the same targets held in memory.
 
 use crate::matching::Matching;
 use crate::similarity::{similarity_matrix, SimilarityMetric};
 use entmatcher_linalg::fused::{
-    fused_argmax_affine, fused_argmax_affine_packed, fused_topk_means, fused_topk_means_packed,
-    TopKAccumulator,
+    fused_argmax_affine_packed, fused_topk_means_packed, TopKAccumulator,
 };
 use entmatcher_linalg::snapshot::SnapshotReader;
 use entmatcher_linalg::{normalize_rows_l2, Matrix, PackedAny, PackedBuilder, Precision};
@@ -42,13 +49,141 @@ use std::path::Path;
 /// overhead; memory is `b * n_s`.
 pub const DEFAULT_BLOCK: usize = 1024;
 
-/// L2-normalized copies of both sides, shared by the fused cosine paths.
-fn normalized_pair(source: &Matrix, target: &Matrix) -> (Matrix, Matrix) {
+/// Where a streamed cosine match reads its target rows from.
+#[derive(Debug, Clone, Copy)]
+pub enum Targets<'a> {
+    /// Target embeddings held in memory.
+    Resident(&'a Matrix),
+    /// An embedding snapshot file, read `chunk_rows` rows at a time so the
+    /// full f32 target matrix is never resident: auxiliary memory beyond
+    /// the packed operand is O(chunk_rows · d).
+    Snapshot {
+        /// Snapshot path (see `entmatcher_linalg::snapshot`).
+        path: &'a Path,
+        /// Rows per read.
+        chunk_rows: usize,
+    },
+}
+
+impl Targets<'_> {
+    /// Hands every target row to `visit(chunk, total_rows)`, L2-normalized
+    /// and in order: one chunk for resident targets, `chunk_rows`-row
+    /// chunks from a snapshot. Returns the number of chunks.
+    fn for_each_normalized(
+        &self,
+        mut visit: impl FnMut(&Matrix, usize) -> entmatcher_linalg::Result<()>,
+    ) -> entmatcher_linalg::Result<u64> {
+        match *self {
+            Targets::Resident(t) => {
+                let mut t = t.clone();
+                normalize_rows_l2(&mut t);
+                visit(&t, t.rows())?;
+                Ok(1)
+            }
+            Targets::Snapshot { path, chunk_rows } => {
+                let mut reader = SnapshotReader::open(path)?;
+                let mut chunks = 0;
+                while let Some(mut chunk) = reader.next_chunk(chunk_rows.max(1))? {
+                    normalize_rows_l2(&mut chunk);
+                    visit(&chunk, reader.rows())?;
+                    chunks += 1;
+                }
+                Ok(chunks)
+            }
+        }
+    }
+
+    /// The normalized targets packed at `precision` (width `d` when there
+    /// are no rows). A snapshot streams through the builder, one
+    /// `quant.stream.chunks` tick per chunk.
+    fn pack_normalized(
+        &self,
+        precision: Precision,
+        d: usize,
+    ) -> entmatcher_linalg::Result<PackedAny> {
+        let mut builder = None;
+        let chunks = self.for_each_normalized(|chunk, rows| {
+            builder
+                .get_or_insert_with(|| PackedBuilder::with_capacity(precision, d, rows))
+                .append(chunk)
+        })?;
+        if let Targets::Snapshot { .. } = self {
+            telemetry::add("quant.stream.chunks", chunks);
+        }
+        Ok(builder
+            .unwrap_or_else(|| PackedBuilder::new(precision, d))
+            .finish())
+    }
+}
+
+/// The cosine driver behind every streamed match: Greedy when `csls_k` is
+/// `None`, CSLS + Greedy with neighbourhood size `k` otherwise.
+fn stream_cosine(
+    source: &Matrix,
+    targets: Targets<'_>,
+    csls_k: Option<usize>,
+    precision: Precision,
+) -> entmatcher_linalg::Result<Matching> {
     let mut s = source.clone();
-    let mut t = target.clone();
     normalize_rows_l2(&mut s);
-    normalize_rows_l2(&mut t);
-    (s, t)
+    let negate = |phi: Vec<f32>| -> Vec<f32> { phi.into_iter().map(|v| -v).collect() };
+    // phi_v: each target's mean of its k best sources, scored against the
+    // packed source, which is dropped before the targets are packed.
+    let neg_t = match csls_k {
+        Some(k) => {
+            let packed_s = PackedAny::pack(&s, precision);
+            let mut phi_t = Vec::new();
+            targets.for_each_normalized(|chunk, _| {
+                phi_t.extend(fused_topk_means_packed(chunk, &packed_s, k)?);
+                Ok(())
+            })?;
+            Some(negate(phi_t))
+        }
+        None => None,
+    };
+    let packed_t = targets.pack_normalized(precision, s.cols())?;
+    let picks = match csls_k.zip(neg_t) {
+        Some((k, neg_t)) => {
+            telemetry::add("fused.dispatch.csls", 1);
+            // phi_u against the same packed targets the decision pass uses;
+            // (2s + (-phi_u)) + (-phi_v) is bitwise the dense
+            // (2s - phi_u) - phi_v.
+            let neg_s = negate(fused_topk_means_packed(&s, &packed_t, k)?);
+            fused_argmax_affine_packed(&s, &packed_t, 2.0, Some(&neg_s), Some(&neg_t))?
+        }
+        None => {
+            telemetry::add("fused.dispatch.greedy", 1);
+            fused_argmax_affine_packed(&s, &packed_t, 1.0, None, None)?
+        }
+    };
+    Ok(Matching::new(picks))
+}
+
+/// Greedy (DInf) by cosine over `targets` at a storage `precision`,
+/// without the score matrix. At [`Precision::F32`] the decisions equal
+/// [`streaming_greedy`]'s bit for bit, for every target source and chunk
+/// size; f16/int8 pack the normalized targets at the reduced width and
+/// scan them with the dequantize-fused micro-kernels. Errors on a
+/// snapshot that cannot be read or whose width differs from `source`'s.
+pub fn streaming_greedy_at(
+    source: &Matrix,
+    targets: Targets<'_>,
+    precision: Precision,
+) -> entmatcher_linalg::Result<Matching> {
+    stream_cosine(source, targets, None, precision)
+}
+
+/// CSLS + Greedy by cosine over `targets` at a storage `precision`,
+/// without the score matrix; see [`streaming_greedy_at`] for the
+/// precision, source and error contract. Panics if `k == 0`.
+pub fn streaming_csls_at(
+    source: &Matrix,
+    targets: Targets<'_>,
+    k: usize,
+    precision: Precision,
+) -> entmatcher_linalg::Result<Matching> {
+    assert!(k >= 1, "CSLS requires k >= 1");
+    stream_cosine(source, targets, Some(k), precision)
 }
 
 /// Greedy matching without materializing the score matrix. Cosine streams
@@ -68,10 +203,8 @@ pub fn streaming_greedy(
         "source and target embeddings must share a dimensionality"
     );
     if metric == SimilarityMetric::Cosine {
-        telemetry::add("fused.dispatch.greedy", 1);
-        let (s, t) = normalized_pair(source, target);
-        let picks = fused_argmax_affine(&s, &t, 1.0, None, None).expect("dims checked above");
-        return Matching::new(picks);
+        return streaming_greedy_at(source, Targets::Resident(target), Precision::F32)
+            .expect("dims checked above");
     }
     let n_s = source.rows();
     let n_t = target.rows();
@@ -96,11 +229,10 @@ pub fn streaming_greedy(
 
 /// CSLS + Greedy without materializing the score matrix.
 ///
-/// Cosine: both neighbourhood passes and the decision pass run on the
-/// fused kernels — phi vectors stream out of per-row bounded heaps, and
-/// the corrected argmax streams out of the affine-argmax kernel. Distance
-/// metrics: two strip-at-a-time passes as before. Decisions equal the
-/// dense `Csls{k}` + `Greedy` path bit for bit.
+/// Cosine: the streaming driver — phi vectors stream out of per-row
+/// bounded heaps, and the corrected argmax streams out of the
+/// affine-argmax kernel. Distance metrics: two strip-at-a-time passes.
+/// Decisions equal the dense `Csls{k}` + `Greedy` path bit for bit.
 pub fn streaming_csls(
     source: &Matrix,
     target: &Matrix,
@@ -121,18 +253,8 @@ pub fn streaming_csls(
         return Matching::new(vec![None; n_s]);
     }
     if metric == SimilarityMetric::Cosine {
-        telemetry::add("fused.dispatch.csls", 1);
-        let (s, t) = normalized_pair(source, target);
-        // phi_u: per-source mean of the k best targets; phi_v: per-target
-        // mean of the k best sources (the same product, transposed roles).
-        let phi_s = fused_topk_means(&s, &t, k).expect("dims checked above");
-        let phi_t = fused_topk_means(&t, &s, k).expect("dims checked above");
-        let neg_s: Vec<f32> = phi_s.iter().map(|v| -v).collect();
-        let neg_t: Vec<f32> = phi_t.iter().map(|v| -v).collect();
-        // (2s + (-phi_u)) + (-phi_v) — bitwise the dense (2s - phi_u) - phi_v.
-        let picks =
-            fused_argmax_affine(&s, &t, 2.0, Some(&neg_s), Some(&neg_t)).expect("dims checked");
-        return Matching::new(picks);
+        return streaming_csls_at(source, Targets::Resident(target), k, Precision::F32)
+            .expect("dims checked above");
     }
 
     // Pass 1: top-k accumulators on both sides.
@@ -174,160 +296,6 @@ pub fn streaming_csls(
         start = end;
     }
     Matching::new(best.into_iter().map(|(j, _)| j).collect())
-}
-
-/// [`streaming_greedy`] with a storage precision for the cosine path's
-/// packed target operand. `F32` delegates (bit-identical to dense DInf);
-/// `F16`/`Int8` pack the normalized target once at the reduced width and
-/// stream the fused argmax over the dequantize-fused micro-kernels.
-/// Distance metrics ignore `precision` (their kernels are not packed
-/// products) and behave exactly like [`streaming_greedy`].
-pub fn streaming_greedy_at(
-    source: &Matrix,
-    target: &Matrix,
-    metric: SimilarityMetric,
-    block: usize,
-    precision: Precision,
-) -> Matching {
-    if metric != SimilarityMetric::Cosine || precision == Precision::F32 {
-        return streaming_greedy(source, target, metric, block);
-    }
-    assert!(block > 0, "block size must be positive");
-    assert_eq!(
-        source.cols(),
-        target.cols(),
-        "source and target embeddings must share a dimensionality"
-    );
-    if target.rows() == 0 {
-        return Matching::new(vec![None; source.rows()]);
-    }
-    telemetry::add("fused.dispatch.greedy", 1);
-    let (s, t) = normalized_pair(source, target);
-    let packed = PackedAny::pack(&t, precision);
-    let picks =
-        fused_argmax_affine_packed(&s, &packed, 1.0, None, None).expect("dims checked above");
-    Matching::new(picks)
-}
-
-/// [`streaming_csls`] with a storage precision for the cosine path's
-/// packed operands. `F32` delegates; `F16`/`Int8` pack *both* normalized
-/// sides once (phi_t needs the target-rows x source-operand product) and
-/// run all three fused passes over quantized strips. Distance metrics
-/// ignore `precision`.
-pub fn streaming_csls_at(
-    source: &Matrix,
-    target: &Matrix,
-    metric: SimilarityMetric,
-    k: usize,
-    block: usize,
-    precision: Precision,
-) -> Matching {
-    if metric != SimilarityMetric::Cosine || precision == Precision::F32 {
-        return streaming_csls(source, target, metric, k, block);
-    }
-    assert!(k >= 1, "CSLS requires k >= 1");
-    assert!(block > 0, "block size must be positive");
-    assert_eq!(
-        source.cols(),
-        target.cols(),
-        "source and target embeddings must share a dimensionality"
-    );
-    let n_s = source.rows();
-    if n_s == 0 || target.rows() == 0 {
-        return Matching::new(vec![None; n_s]);
-    }
-    telemetry::add("fused.dispatch.csls", 1);
-    let (s, t) = normalized_pair(source, target);
-    let packed_t = PackedAny::pack(&t, precision);
-    let packed_s = PackedAny::pack(&s, precision);
-    let phi_s = fused_topk_means_packed(&s, &packed_t, k).expect("dims checked above");
-    let phi_t = fused_topk_means_packed(&t, &packed_s, k).expect("dims checked above");
-    let neg_s: Vec<f32> = phi_s.iter().map(|v| -v).collect();
-    let neg_t: Vec<f32> = phi_t.iter().map(|v| -v).collect();
-    let picks = fused_argmax_affine_packed(&s, &packed_t, 2.0, Some(&neg_s), Some(&neg_t))
-        .expect("dims checked");
-    Matching::new(picks)
-}
-
-/// Streams the target side's normalized rows out of the snapshot file at
-/// `path` in `chunk_rows`-row chunks, quantize-packing each chunk, then
-/// runs the fused cosine argmax against the packed operand — DInf where
-/// the target never exists in memory as a full f32 matrix. Auxiliary
-/// memory beyond the packed operand itself is O(chunk_rows · d),
-/// independent of the snapshot's row count.
-///
-/// At [`Precision::F32`] the decisions are bit-identical to
-/// [`streaming_greedy`] on the loaded matrix (chunked normalization is a
-/// row-local op).
-pub fn streaming_greedy_snapshot(
-    source: &Matrix,
-    path: &Path,
-    precision: Precision,
-    chunk_rows: usize,
-) -> entmatcher_linalg::Result<Matching> {
-    let packed = pack_normalized_snapshot(path, precision, chunk_rows)?;
-    let mut s = source.clone();
-    normalize_rows_l2(&mut s);
-    telemetry::add("fused.dispatch.greedy", 1);
-    let picks = fused_argmax_affine_packed(&s, &packed, 1.0, None, None)?;
-    Ok(Matching::new(picks))
-}
-
-/// Out-of-core CSLS + Greedy over a target snapshot: pass 1 streams the
-/// file into a packed (possibly quantized) operand; pass 2 re-streams it
-/// chunk-wise to score target rows against the packed *source* for the
-/// target-side neighbourhood statistic — so no full f32 target matrix is
-/// ever resident. See [`streaming_greedy_snapshot`] for the memory shape.
-pub fn streaming_csls_snapshot(
-    source: &Matrix,
-    path: &Path,
-    k: usize,
-    precision: Precision,
-    chunk_rows: usize,
-) -> entmatcher_linalg::Result<Matching> {
-    assert!(k >= 1, "CSLS requires k >= 1");
-    let packed_t = pack_normalized_snapshot(path, precision, chunk_rows)?;
-    let n_s = source.rows();
-    if n_s == 0 || packed_t.n() == 0 {
-        return Ok(Matching::new(vec![None; n_s]));
-    }
-    let mut s = source.clone();
-    normalize_rows_l2(&mut s);
-    let packed_s = PackedAny::pack(&s, precision);
-    telemetry::add("fused.dispatch.csls", 1);
-    let phi_s = fused_topk_means_packed(&s, &packed_t, k)?;
-    // Second pass over the file for phi_t: each chunk of target rows is a
-    // query block against the packed source side.
-    let mut reader = SnapshotReader::open(path)?;
-    let mut phi_t: Vec<f32> = Vec::with_capacity(reader.rows());
-    while let Some(mut chunk) = reader.next_chunk(chunk_rows.max(1))? {
-        normalize_rows_l2(&mut chunk);
-        phi_t.extend(fused_topk_means_packed(&chunk, &packed_s, k)?);
-    }
-    let neg_s: Vec<f32> = phi_s.iter().map(|v| -v).collect();
-    let neg_t: Vec<f32> = phi_t.iter().map(|v| -v).collect();
-    let picks = fused_argmax_affine_packed(&s, &packed_t, 2.0, Some(&neg_s), Some(&neg_t))?;
-    Ok(Matching::new(picks))
-}
-
-/// Chunk-streams the snapshot at `path`, L2-normalizing each chunk before
-/// it is packed, so cosine consumers get the packed normalized operand
-/// without a whole-matrix load. One `quant.stream.chunks` tick per chunk.
-fn pack_normalized_snapshot(
-    path: &Path,
-    precision: Precision,
-    chunk_rows: usize,
-) -> entmatcher_linalg::Result<PackedAny> {
-    let mut reader = SnapshotReader::open(path)?;
-    let mut builder = PackedBuilder::with_capacity(precision, reader.cols(), reader.rows());
-    let mut chunks = 0u64;
-    while let Some(mut chunk) = reader.next_chunk(chunk_rows.max(1))? {
-        normalize_rows_l2(&mut chunk);
-        builder.append(&chunk)?;
-        chunks += 1;
-    }
-    telemetry::add("quant.stream.chunks", chunks);
-    Ok(builder.finish())
 }
 
 /// Peak auxiliary bytes of the streaming kernels for an `n_s x n_t`
@@ -420,14 +388,10 @@ mod tests {
         let s = random_embeddings(70, 16, 21);
         let t = random_embeddings(85, 16, 22);
         let base = streaming_greedy(&s, &t, SimilarityMetric::Cosine, 64);
-        let at = streaming_greedy_at(&s, &t, SimilarityMetric::Cosine, 64, Precision::F32);
+        let at = streaming_greedy_at(&s, Targets::Resident(&t), Precision::F32).unwrap();
         assert_eq!(base, at);
         let base = streaming_csls(&s, &t, SimilarityMetric::Cosine, 5, 64);
-        let at = streaming_csls_at(&s, &t, SimilarityMetric::Cosine, 5, 64, Precision::F32);
-        assert_eq!(base, at);
-        // Distance metrics ignore precision entirely.
-        let base = streaming_greedy(&s, &t, SimilarityMetric::Euclidean, 64);
-        let at = streaming_greedy_at(&s, &t, SimilarityMetric::Euclidean, 64, Precision::Int8);
+        let at = streaming_csls_at(&s, Targets::Resident(&t), 5, Precision::F32).unwrap();
         assert_eq!(base, at);
     }
 
@@ -447,7 +411,7 @@ mod tests {
         let exact = streaming_greedy(s, t, SimilarityMetric::Cosine, 64);
         let exact_csls = streaming_csls(s, t, SimilarityMetric::Cosine, 5, 64);
         for precision in [Precision::F16, Precision::Int8] {
-            let g = streaming_greedy_at(s, t, SimilarityMetric::Cosine, 64, precision);
+            let g = streaming_greedy_at(s, Targets::Resident(t), precision).unwrap();
             let agree = exact
                 .assignment()
                 .iter()
@@ -455,7 +419,7 @@ mod tests {
                 .filter(|(a, b)| a == b)
                 .count();
             assert!(agree >= 145, "{} greedy agrees on {agree}/150", precision.name());
-            let c = streaming_csls_at(s, t, SimilarityMetric::Cosine, 5, 64, precision);
+            let c = streaming_csls_at(s, Targets::Resident(t), 5, precision).unwrap();
             let agree = exact_csls
                 .assignment()
                 .iter()
@@ -482,14 +446,16 @@ mod tests {
             // In-memory reference at the same precision: chunked
             // normalization is row-local and builder packing equals
             // one-shot packing, so every chunk size must be bitwise equal.
-            let greedy_ref =
-                streaming_greedy_at(&s, &t, SimilarityMetric::Cosine, 64, precision);
-            let csls_ref =
-                streaming_csls_at(&s, &t, SimilarityMetric::Cosine, 4, 64, precision);
+            let greedy_ref = streaming_greedy_at(&s, Targets::Resident(&t), precision).unwrap();
+            let csls_ref = streaming_csls_at(&s, Targets::Resident(&t), 4, precision).unwrap();
             for chunk in [1usize, 13, 77, 500] {
-                let g = streaming_greedy_snapshot(&s, &path, precision, chunk).unwrap();
+                let snapshot = Targets::Snapshot {
+                    path: &path,
+                    chunk_rows: chunk,
+                };
+                let g = streaming_greedy_at(&s, snapshot, precision).unwrap();
                 assert_eq!(g, greedy_ref, "{} greedy chunk {chunk}", precision.name());
-                let c = streaming_csls_snapshot(&s, &path, 4, precision, chunk).unwrap();
+                let c = streaming_csls_at(&s, snapshot, 4, precision).unwrap();
                 assert_eq!(c, csls_ref, "{} csls chunk {chunk}", precision.name());
             }
         }
@@ -499,9 +465,12 @@ mod tests {
     #[test]
     fn snapshot_streaming_surfaces_io_errors() {
         let s = random_embeddings(3, 4, 41);
-        let missing = std::path::PathBuf::from("/nonexistent/entmatcher/target.emb");
-        assert!(streaming_greedy_snapshot(&s, &missing, Precision::Int8, 16).is_err());
-        assert!(streaming_csls_snapshot(&s, &missing, 3, Precision::Int8, 16).is_err());
+        let missing = Targets::Snapshot {
+            path: Path::new("/nonexistent/entmatcher/target.emb"),
+            chunk_rows: 16,
+        };
+        assert!(streaming_greedy_at(&s, missing, Precision::Int8).is_err());
+        assert!(streaming_csls_at(&s, missing, 3, Precision::Int8).is_err());
     }
 
     #[test]

@@ -252,11 +252,13 @@ fn ivf_train_and_probe_within_envelope() {
 
 /// Quantized packing: the measured peak of a one-shot pack is the packed
 /// buffer plus bounded transients, and the int8 pack really does measure
-/// ~4x below the f32 pack of the same operand.
+/// ~4x below the f32 pack of the same operand. The row count is not a
+/// multiple of the strip height, so a pack that copied the matrix into
+/// the builder's tail carry would show up on the f32 peak.
 #[test]
 fn quantized_pack_measured_peak_shrinks_with_element_width() {
     let _lock = locked();
-    let (n, d) = (4096usize, 64usize);
+    let (n, d) = (4093usize, 64usize);
     let t = random_embeddings(n, d, 21);
     let run = |precision: Precision, tag: &str| {
         alloc::set_enabled(true);
@@ -271,6 +273,10 @@ fn quantized_pack_measured_peak_shrinks_with_element_width() {
     // Each pack's peak covers its own buffer and little more.
     assert!(f32_peak >= f32_bytes, "packed f32 buffer must be measurable");
     assert!(i8_peak >= i8_bytes, "packed int8 buffer must be measurable");
+    assert!(
+        f32_peak <= f32_bytes + SLACK,
+        "f32 pack measured {f32_peak} B for a {f32_bytes} B buffer"
+    );
     assert!(
         i8_peak <= 2 * i8_bytes + SLACK,
         "int8 pack measured {i8_peak} B for a {i8_bytes} B buffer"

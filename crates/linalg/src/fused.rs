@@ -9,24 +9,28 @@
 //! `O(m*k + tile)` while the scores themselves stay bit-identical to the
 //! dense kernel (both accumulate depth in the same sequential order).
 //!
-//! Entry points:
-//! * [`fused_topk`] — per-row top-k `(index, score)` lists;
-//! * [`fused_topk_means`] — per-row mean of the top-k scores (the CSLS
-//!   neighbourhood statistic phi);
-//! * [`fused_argmax_affine`] — per-row argmax of
+//! One scan, written once over a [`PackedAny`] right operand at any
+//! precision, feeds three reductions:
+//! * [`fused_topk_packed`] — per-row top-k `(index, score)` lists;
+//! * [`fused_topk_means_packed`] — per-row mean of the top-k scores (the
+//!   CSLS neighbourhood statistic phi);
+//! * [`fused_argmax_affine_packed`] — per-row argmax of
 //!   `scale * s(i,j) + row_off[i] + col_off[j]`, which covers streaming
 //!   Greedy (`scale = 1`, no offsets) and the CSLS decision pass
 //!   (`scale = 2`, offsets `-phi`).
 //!
-//! All of them take *embedding* operands and compute dot-product scores;
-//! for cosine similarity, L2-normalize the operands first.
+//! [`fused_topk`], [`fused_topk_means`] and [`fused_argmax_affine`] take
+//! the right operand as a matrix: they pack it at f32 and call the packed
+//! form. All of them take *embedding* operands and compute dot-product
+//! scores; for cosine similarity, L2-normalize the operands first.
 //!
 //! Telemetry (when enabled): `fused.tiles`, `fused.rows`.
 
 use crate::error::LinalgError;
-use crate::gemm::{tile_into, tile_stride, PackedB, PackedOperand, NR};
+use crate::gemm::{tile_into, PackedAny, NR};
 use crate::matrix::Matrix;
 use crate::parallel::{par_row_chunks_mut_grained, Grain};
+use crate::quant::Precision;
 use crate::Result;
 use entmatcher_support::telemetry;
 
@@ -157,42 +161,26 @@ impl TopKAccumulator {
     }
 }
 
-fn check_dims(op: &'static str, a: &Matrix, b: &Matrix) -> Result<()> {
-    if a.cols() != b.cols() {
+fn check_dims(op: &'static str, a: &Matrix, packed: &PackedAny) -> Result<()> {
+    if a.cols() != packed.d() {
         return Err(LinalgError::DimMismatch {
             op,
             left: a.shape(),
-            right: b.shape(),
+            right: (packed.n(), packed.d()),
         });
     }
     Ok(())
 }
 
-/// Streams score tiles of `A * B^T` and hands each one to `visit`:
-/// `visit(state, global_row, col0, scores)` is called once per
-/// (tile pass, row) with the scored slice for columns
+/// The one fused scan: streams score tiles of `A * P^T` and hands each
+/// one to `visit`: `visit(state, global_row, col0, scores)` is called once
+/// per (tile pass, row) with the scored slice for columns
 /// `col0..col0+scores.len()`. Columns arrive in ascending order for every
-/// row.
+/// row. Quantized payloads dequantize inside the register block, so the
+/// scratch tile is the only f32 copy of any score that ever exists.
 fn fused_scan<S: Send + Default + Clone>(
     a: &Matrix,
-    b: &Matrix,
-    visit: impl Fn(&mut S, usize, usize, &[f32]) + Sync,
-) -> Vec<S> {
-    if a.rows() == 0 || b.rows() == 0 {
-        telemetry::add("fused.rows", a.rows() as u64);
-        return vec![S::default(); a.rows()];
-    }
-    fused_scan_packed(a, &PackedB::pack(b), visit)
-}
-
-/// [`fused_scan`] against a *pre-packed* right operand — the entry point
-/// for callers that amortize packing across many scans (e.g. ANN inverted
-/// lists stored directly as packed strips). Generic over the operand's
-/// storage precision: quantized payloads dequantize inside the register
-/// block, so the scratch tile is the only f32 copy that ever exists.
-fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
+    packed: &PackedAny,
     visit: impl Fn(&mut S, usize, usize, &[f32]) + Sync,
 ) -> Vec<S> {
     let m = a.rows();
@@ -201,41 +189,34 @@ fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
         telemetry::add("fused.rows", m as u64);
         return state;
     }
+    let level = crate::simd::clamp_supported(crate::simd::active());
     let strips = packed.strips();
     let pass_strips = packed.panel_strips().min(MAX_TILE_STRIPS);
-    let stride = tile_stride(pass_strips);
     let tiles = std::sync::atomic::AtomicU64::new(0);
     let visit = &visit;
-    let packed_ref = packed;
     // One state item scans the entire packed operand (n * d work); never
     // split tasks below the streaming tile height.
-    let grain = Grain::for_item_cost(packed.n().saturating_mul(packed.d().max(1)))
-        .at_least(TILE_ROWS);
+    let grain =
+        Grain::for_item_cost(packed.n().saturating_mul(packed.d().max(1))).at_least(TILE_ROWS);
     par_row_chunks_mut_grained(&mut state, 1, grain, |start_row, states| {
         let rows = states.len();
-        let mut scratch = vec![0.0f32; TILE_ROWS * stride];
+        let mut scratch = vec![0.0f32; TILE_ROWS * pass_strips * NR];
         let mut local_tiles = 0u64;
         let mut s0 = 0usize;
         while s0 < strips {
             let s1 = (s0 + pass_strips).min(strips);
-            let pass_stride = tile_stride(s1 - s0);
+            let pass_stride = (s1 - s0) * NR;
             let col0 = s0 * NR;
             let mut r0 = 0usize;
             while r0 < rows {
                 let height = TILE_ROWS.min(rows - r0);
-                let (width, t) = tile_into(
-                    a,
-                    start_row + r0,
-                    height,
-                    packed_ref,
-                    s0,
-                    s1,
-                    &mut scratch,
-                );
+                let row0 = start_row + r0;
+                let (width, t) =
+                    tile_into(a, row0..row0 + height, packed, s0..s1, &mut scratch, level);
                 local_tiles += t;
                 for local in 0..height {
                     let row_scores = &scratch[local * pass_stride..local * pass_stride + width];
-                    visit(&mut states[r0 + local], start_row + r0 + local, col0, row_scores);
+                    visit(&mut states[r0 + local], row0 + local, col0, row_scores);
                 }
                 r0 += height;
             }
@@ -248,171 +229,69 @@ fn fused_scan_packed<S: Send + Default + Clone, P: PackedOperand + ?Sized>(
     state
 }
 
-/// For each row of `a`, the top-`k` scoring rows of `b` as
+/// Per-row top-`k` accumulators of `A * P^T` (`None` for rows that saw no
+/// score), shared by the top-k and top-k-mean reductions.
+fn topk_scan(
+    op: &'static str,
+    a: &Matrix,
+    packed: &PackedAny,
+    k: usize,
+) -> Result<Vec<Option<TopKAccumulator>>> {
+    check_dims(op, a, packed)?;
+    Ok(fused_scan(
+        a,
+        packed,
+        |st: &mut Option<TopKAccumulator>, _row, col0, scores| {
+            let acc = st.get_or_insert_with(|| TopKAccumulator::new(k));
+            for (j, &v) in scores.iter().enumerate() {
+                acc.push((col0 + j) as u32, v);
+            }
+        },
+    ))
+}
+
+/// For each row of `a`, the top-`k` scoring rows of the packed operand as
 /// `(index, score)` pairs, best first — without materializing the `m x n`
-/// score matrix. Scores are raw dot products (normalize for cosine).
-pub fn fused_topk(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<Vec<(u32, f32)>>> {
-    check_dims("fused_topk", a, b)?;
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan::<St>(a, b, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
+/// score matrix. Packing is paid once by the caller and amortized over
+/// many scans; the scores are bit-identical to the dense product of `a`
+/// with the matrix `P` was packed from (its *dequantized* matrix for
+/// reduced-precision operands). Scores are raw dot products (normalize
+/// for cosine).
+pub fn fused_topk_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec<Vec<(u32, f32)>>> {
+    Ok(topk_scan("fused_topk", a, packed, k)?
         .into_iter()
-        .map(|st| st.0.map(TopKAccumulator::into_sorted_desc).unwrap_or_default())
+        .map(|acc| {
+            acc.map(TopKAccumulator::into_sorted_desc)
+                .unwrap_or_default()
+        })
         .collect())
 }
 
-/// [`fused_topk`] against a *pre-packed* right operand: per-row top-`k`
-/// `(index, score)` pairs of `A * P^T`, best first. Packing cost is paid
-/// once by the caller and amortized over many scans — the tile path
-/// (register blocks, SIMD dispatch, bounded heaps) is identical to
-/// [`fused_topk`], so the scores are bit-identical to the dense product of
-/// `a` with the matrix `P` was packed from (its *dequantized* matrix for
-/// reduced-precision operands).
-pub fn fused_topk_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    k: usize,
-) -> Result<Vec<Vec<(u32, f32)>>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_topk_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan_packed::<St, P>(a, packed, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.map(TopKAccumulator::into_sorted_desc).unwrap_or_default())
-        .collect())
-}
-
-/// For each row of `a`, the mean of its top-`k` scores against `b` — the
-/// CSLS neighbourhood statistic — computed tile-streamed. Equals
-/// [`crate::rank::top_k_mean`] over the dense score row.
-pub fn fused_topk_means(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<f32>> {
-    check_dims("fused_topk_means", a, b)?;
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan::<St>(a, b, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.as_ref().map(TopKAccumulator::mean).unwrap_or(0.0))
-        .collect())
-}
-
-/// [`fused_topk_means`] against a *pre-packed* right operand (any
-/// [`PackedOperand`] precision): packing is paid once by the caller and
-/// shared with the decision pass, which at reduced precision also shrinks
-/// the resident operand by the element-width ratio.
-pub fn fused_topk_means_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    k: usize,
-) -> Result<Vec<f32>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_topk_means_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
-    #[derive(Clone, Default)]
-    struct St(Option<TopKAccumulator>);
-    let kk = k;
-    let state = fused_scan_packed::<St, P>(a, packed, |st, _row, col0, scores| {
-        let acc = st.0.get_or_insert_with(|| TopKAccumulator::new(kk));
-        for (j, &v) in scores.iter().enumerate() {
-            acc.push((col0 + j) as u32, v);
-        }
-    });
-    Ok(state
-        .into_iter()
-        .map(|st| st.0.as_ref().map(TopKAccumulator::mean).unwrap_or(0.0))
+/// For each row of `a`, the mean of its top-`k` scores against the packed
+/// operand — the CSLS neighbourhood statistic — computed tile-streamed.
+/// Equals [`crate::rank::top_k_mean`] over the dense score row.
+pub fn fused_topk_means_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec<f32>> {
+    Ok(topk_scan("fused_topk_means", a, packed, k)?
+        .iter()
+        .map(|acc| acc.as_ref().map_or(0.0, TopKAccumulator::mean))
         .collect())
 }
 
 /// For each row `i` of `a`, the argmax over `j` of
-/// `(scale * s(i, j) + row_off[i]) + col_off[j]` (offsets default to
-/// zero), streamed without the dense matrix. First occurrence wins ties
-/// and NaN never wins, matching [`crate::rank::argmax`]. The evaluation
-/// order is fixed so the corrected values are bit-identical to the dense
-/// CSLS expression `(2s - phi_u) - phi_v` when called with negated phis.
-pub fn fused_argmax_affine(
+/// `(scale * s(i, j) + row_off[i]) + col_off[j]` against the packed
+/// operand (offsets default to zero), streamed without the dense matrix.
+/// First occurrence wins ties and NaN never wins, matching
+/// [`crate::rank::argmax`]. The evaluation order is fixed so the corrected
+/// values are bit-identical to the dense CSLS expression
+/// `(2s - phi_u) - phi_v` when called with negated phis.
+pub fn fused_argmax_affine_packed(
     a: &Matrix,
-    b: &Matrix,
+    packed: &PackedAny,
     scale: f32,
     row_off: Option<&[f32]>,
     col_off: Option<&[f32]>,
 ) -> Result<Vec<Option<u32>>> {
-    check_dims("fused_argmax_affine", a, b)?;
-    if let Some(off) = row_off {
-        assert_eq!(off.len(), a.rows(), "row offset length mismatch");
-    }
-    if let Some(off) = col_off {
-        assert_eq!(off.len(), b.rows(), "col offset length mismatch");
-    }
-    #[derive(Clone)]
-    struct Best(Option<u32>, f32);
-    impl Default for Best {
-        fn default() -> Self {
-            Best(None, f32::NEG_INFINITY)
-        }
-    }
-    let state = fused_scan::<Best>(a, b, |best, row, col0, scores| {
-        let ro = row_off.map_or(0.0, |off| off[row]);
-        for (j, &s) in scores.iter().enumerate() {
-            let col = col0 + j;
-            let mut v = scale * s + ro;
-            if let Some(off) = col_off {
-                v += off[col];
-            }
-            if v > best.1 {
-                *best = Best(Some(col as u32), v);
-            }
-        }
-    });
-    Ok(state.into_iter().map(|b| b.0).collect())
-}
-
-/// [`fused_argmax_affine`] against a *pre-packed* right operand (any
-/// [`PackedOperand`] precision) — lets the streaming decision pass reuse
-/// the packed (possibly quantized) operand the statistics pass built.
-pub fn fused_argmax_affine_packed<P: PackedOperand + ?Sized>(
-    a: &Matrix,
-    packed: &P,
-    scale: f32,
-    row_off: Option<&[f32]>,
-    col_off: Option<&[f32]>,
-) -> Result<Vec<Option<u32>>> {
-    if a.cols() != packed.d() {
-        return Err(LinalgError::DimMismatch {
-            op: "fused_argmax_affine_packed",
-            left: a.shape(),
-            right: (packed.n(), packed.d()),
-        });
-    }
+    check_dims("fused_argmax_affine", a, packed)?;
     if let Some(off) = row_off {
         assert_eq!(off.len(), a.rows(), "row offset length mismatch");
     }
@@ -426,7 +305,7 @@ pub fn fused_argmax_affine_packed<P: PackedOperand + ?Sized>(
             Best(None, f32::NEG_INFINITY)
         }
     }
-    let state = fused_scan_packed::<Best, P>(a, packed, |best, row, col0, scores| {
+    let state = fused_scan::<Best>(a, packed, |best, row, col0, scores| {
         let ro = row_off.map_or(0.0, |off| off[row]);
         for (j, &s) in scores.iter().enumerate() {
             let col = col0 + j;
@@ -440,6 +319,33 @@ pub fn fused_argmax_affine_packed<P: PackedOperand + ?Sized>(
         }
     });
     Ok(state.into_iter().map(|b| b.0).collect())
+}
+
+/// [`fused_topk_packed`] against `b` packed at f32.
+pub fn fused_topk(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<Vec<(u32, f32)>>> {
+    fused_topk_packed(a, &PackedAny::pack(b, Precision::F32), k)
+}
+
+/// [`fused_topk_means_packed`] against `b` packed at f32.
+pub fn fused_topk_means(a: &Matrix, b: &Matrix, k: usize) -> Result<Vec<f32>> {
+    fused_topk_means_packed(a, &PackedAny::pack(b, Precision::F32), k)
+}
+
+/// [`fused_argmax_affine_packed`] against `b` packed at f32.
+pub fn fused_argmax_affine(
+    a: &Matrix,
+    b: &Matrix,
+    scale: f32,
+    row_off: Option<&[f32]>,
+    col_off: Option<&[f32]>,
+) -> Result<Vec<Option<u32>>> {
+    fused_argmax_affine_packed(
+        a,
+        &PackedAny::pack(b, Precision::F32),
+        scale,
+        row_off,
+        col_off,
+    )
 }
 
 #[cfg(test)]
@@ -503,7 +409,7 @@ mod tests {
     fn fused_topk_packed_matches_unpacked() {
         let a = seq_matrix(14, 7, 11);
         let b = seq_matrix(37, 7, 12);
-        let packed = PackedB::pack(&b);
+        let packed = PackedAny::pack(&b, Precision::F32);
         for k in [1usize, 4, 50] {
             assert_eq!(
                 fused_topk_packed(&a, &packed, k).unwrap(),
@@ -512,9 +418,9 @@ mod tests {
             );
         }
         // Degenerate shapes and dim mismatch behave like the unpacked API.
-        let empty = PackedB::pack(&Matrix::zeros(0, 7));
+        let empty = PackedAny::pack(&Matrix::zeros(0, 7), Precision::F32);
         assert_eq!(fused_topk_packed(&a, &empty, 3).unwrap(), vec![vec![]; 14]);
-        let wrong = PackedB::pack(&Matrix::zeros(4, 9));
+        let wrong = PackedAny::pack(&Matrix::zeros(4, 9), Precision::F32);
         assert!(fused_topk_packed(&a, &wrong, 3).is_err());
     }
 

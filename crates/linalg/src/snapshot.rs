@@ -40,64 +40,30 @@ pub fn to_bytes(m: &Matrix) -> Vec<u8> {
     buf
 }
 
-/// A little-endian cursor over the snapshot wire format.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-        if self.buf.len() < N {
-            return None;
-        }
-        let (head, rest) = self.buf.split_at(N);
-        self.buf = rest;
-        Some(head.try_into().unwrap())
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 /// Decodes a snapshot produced by [`to_bytes`].
 pub fn from_bytes(bytes: &[u8]) -> Result<Matrix> {
-    let mut r = Reader { buf: bytes };
-    if r.remaining() < 24 {
+    let Some((head, payload)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
         return Err(LinalgError::CorruptSnapshot("truncated header".into()));
-    }
-    let magic: [u8; 4] = r.take().unwrap();
-    if &magic != MAGIC {
-        return Err(LinalgError::CorruptSnapshot(format!("bad magic {magic:?}")));
-    }
-    let version = u32::from_le_bytes(r.take().unwrap());
-    if version != VERSION {
+    };
+    let (rows, cols, payload_bytes) = parse_header(head)?;
+    if payload.len() != payload_bytes {
         return Err(LinalgError::CorruptSnapshot(format!(
-            "unsupported version {version}"
+            "payload length {} != {payload_bytes} bytes for {rows} x {cols}",
+            payload.len()
         )));
     }
-    let rows = u64::from_le_bytes(r.take().unwrap()) as usize;
-    let cols = u64::from_le_bytes(r.take().unwrap()) as usize;
-    let expected = rows
-        .checked_mul(cols)
-        .ok_or_else(|| LinalgError::CorruptSnapshot("shape overflow".into()))?;
-    if r.remaining() != expected * 4 {
-        return Err(LinalgError::CorruptSnapshot(format!(
-            "payload length {} != {} elements",
-            r.remaining() / 4,
-            expected
-        )));
-    }
-    let mut data = Vec::with_capacity(expected);
-    for _ in 0..expected {
-        data.push(f32::from_le_bytes(r.take().unwrap()));
-    }
+    let data = payload
+        .chunks_exact(4)
+        .map(|quad| f32::from_le_bytes(quad.try_into().expect("4-byte chunks")))
+        .collect();
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Decodes a snapshot header from raw bytes (shared by [`from_bytes`] and
-/// the streaming reader). Returns `(rows, cols)`.
-fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize)> {
+/// Decodes a snapshot header (shared by [`from_bytes`] and the streaming
+/// reader). Returns `(rows, cols, payload_bytes)`; a shape whose payload
+/// byte count overflows `usize` is corrupt, so no caller can size a
+/// buffer from a wrapped length.
+fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize, usize)> {
     let magic: [u8; 4] = head[0..4].try_into().unwrap();
     if &magic != MAGIC {
         return Err(LinalgError::CorruptSnapshot(format!("bad magic {magic:?}")));
@@ -108,17 +74,24 @@ fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize)> {
             "unsupported version {version}"
         )));
     }
-    let rows = u64::from_le_bytes(head[8..16].try_into().unwrap()) as usize;
-    let cols = u64::from_le_bytes(head[16..24].try_into().unwrap()) as usize;
-    rows.checked_mul(cols)
-        .ok_or_else(|| LinalgError::CorruptSnapshot("shape overflow".into()))?;
-    Ok((rows, cols))
+    let field = |at: usize| {
+        let bytes = head[at..at + 8].try_into().expect("8-byte header field");
+        usize::try_from(u64::from_le_bytes(bytes))
+    };
+    let (Ok(rows), Ok(cols)) = (field(8), field(16)) else {
+        return Err(LinalgError::CorruptSnapshot("shape overflow".into()));
+    };
+    let payload_bytes = rows
+        .checked_mul(cols)
+        .and_then(|elems| elems.checked_mul(4))
+        .ok_or_else(|| LinalgError::CorruptSnapshot(format!("shape overflow: {rows} x {cols}")))?;
+    Ok((rows, cols, payload_bytes))
 }
 
 /// Streams a snapshot in fixed-size row chunks — the out-of-core load
 /// path. The header is parsed eagerly so [`SnapshotReader::rows`] /
 /// [`SnapshotReader::cols`] can size downstream buffers (e.g.
-/// [`crate::quant::PackedBuilder::with_capacity`]) before any payload is
+/// [`crate::gemm::PackedBuilder::with_capacity`]) before any payload is
 /// read; the payload is then consumed chunk by chunk through one reused
 /// byte buffer, so aux memory is O(chunk), independent of snapshot size.
 #[derive(Debug)]
@@ -142,10 +115,11 @@ impl SnapshotReader<std::io::BufReader<std::fs::File>> {
             .map_err(|e| LinalgError::Io(format!("{}: {e}", path.display())))?
             .len();
         let reader = Self::from_reader(std::io::BufReader::new(file))?;
-        let expected = HEADER_BYTES as u64 + (reader.rows * reader.cols * 4) as u64;
-        if file_len != expected {
+        // `parse_header` checked that the payload byte count fits `usize`.
+        let payload = (reader.rows * reader.cols * 4) as u64;
+        if payload.checked_add(HEADER_BYTES as u64) != Some(file_len) {
             return Err(LinalgError::CorruptSnapshot(format!(
-                "file length {file_len} != {expected} for {} x {}",
+                "file length {file_len} != {HEADER_BYTES} + {payload} for {} x {}",
                 reader.rows, reader.cols
             )));
         }
@@ -160,7 +134,7 @@ impl<R: Read> SnapshotReader<R> {
         inner
             .read_exact(&mut head)
             .map_err(|_| LinalgError::CorruptSnapshot("truncated header".into()))?;
-        let (rows, cols) = parse_header(&head)?;
+        let (rows, cols, _) = parse_header(&head)?;
         Ok(SnapshotReader {
             inner,
             rows,
@@ -236,6 +210,7 @@ pub fn read_file_chunked(path: &std::path::Path, chunk_rows: usize) -> Result<Ma
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{pack_snapshot_stream, Precision};
 
     #[test]
     fn roundtrip_preserves_matrix() {
@@ -319,6 +294,31 @@ mod tests {
         padded.push(0);
         std::fs::write(&path, padded).unwrap();
         assert!(SnapshotReader::open(&path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn header_whose_byte_count_overflows_is_corrupt() {
+        // 2^62 x 1 elements = 2^64 payload bytes, which wraps to 0: the
+        // 24-byte header alone would pass a wrapped length check.
+        let mut head = Vec::from(*MAGIC);
+        head.extend_from_slice(&VERSION.to_le_bytes());
+        head.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        head.extend_from_slice(&1u64.to_le_bytes());
+        let corrupt = |r: Result<_>| matches!(r, Err(LinalgError::CorruptSnapshot(_)));
+        assert!(corrupt(from_bytes(&head).map(|_| ())));
+        let dir =
+            std::env::temp_dir().join(format!("entmatcher-snapshot-ovf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overflow.emb");
+        std::fs::write(&path, &head).unwrap();
+        assert!(corrupt(SnapshotReader::open(&path).map(|_| ())));
+        assert!(corrupt(read_file_chunked(&path, 16).map(|_| ())));
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            assert!(corrupt(
+                pack_snapshot_stream(&path, precision, 16).map(|_| ())
+            ));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,7 +20,7 @@ use entmatcher_linalg::quant::{
     dequantize_value_int8, f16_bits_to_f32, f32_to_f16_bits, int8_row_scale, quantize_value_int8,
 };
 use entmatcher_linalg::{
-    quantize_roundtrip, Matrix, Precision, QuantPackedB, QuantizedMatrix, SimdLevel,
+    quantize_roundtrip, Matrix, PackedAny, Precision, QuantizedMatrix, SimdLevel,
 };
 use entmatcher_support::prop::{check, Config, Gen};
 use entmatcher_support::rng::Rng;
@@ -241,13 +241,15 @@ const DS: [usize; 3] = [1, 7, 128];
 
 #[test]
 fn dequantize_fused_avx2_is_bitwise_equal_to_scalar_on_shape_grid() {
-    for precision in [Precision::F16, Precision::Int8] {
+    // f32 is one more payload of the same packed operand: its scalar and
+    // AVX2 kernels must meet the same contract through the same entry point.
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
         for (shape_salt, &m) in MS.iter().enumerate() {
             for &n in &NS {
                 for &d in &DS {
                     let a = lumpy_matrix(m, d, shape_salt);
                     let b = lumpy_matrix(n, d, shape_salt + 101);
-                    let packed = QuantPackedB::pack(&b, precision);
+                    let packed = PackedAny::pack(&b, precision);
                     let scalar =
                         matmul_blocked_packed_with(&a, &packed, SimdLevel::Scalar).unwrap();
                     let vector = matmul_blocked_packed_with(&a, &packed, SimdLevel::Avx2).unwrap();
@@ -280,7 +282,7 @@ fn dequantize_fused_fma_request_maps_to_avx2() {
     let a = lumpy_matrix(13, 64, 3);
     let b = lumpy_matrix(21, 64, 9);
     for precision in [Precision::F16, Precision::Int8] {
-        let packed = QuantPackedB::pack(&b, precision);
+        let packed = PackedAny::pack(&b, precision);
         let scalar = matmul_blocked_packed_with(&a, &packed, SimdLevel::Scalar).unwrap();
         let fma = matmul_blocked_packed_with(&a, &packed, SimdLevel::Fma).unwrap();
         assert_eq!(fma, scalar, "{} fma-request diverged", precision.name());

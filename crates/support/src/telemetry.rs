@@ -100,9 +100,7 @@ use std::time::{Duration, Instant};
 /// v2 added `tid` to span records and `finite_count` to histograms; v3
 /// added the measured `heap_allocated` / `heap_live_peak` span fields; v4
 /// added first-class gauges and the per-span `req` request-lane field.
-/// The parser accepts older documents by defaulting `tid` to 0,
-/// `finite_count` to `count`, the heap fields to 0, `req` to 0, and
-/// `gauges` to empty.
+/// The parser reads this version only and rejects any other by name.
 pub const TRACE_VERSION: u64 = 4;
 
 /// Histogram bucket index for samples that have no binary exponent
@@ -671,24 +669,21 @@ pub struct SpanRecord {
     /// Auxiliary heap bytes attributed to this span by the *analytic
     /// model* (callers' `add_bytes`).
     pub bytes: u64,
-    /// Thread lane the span was opened on (see [`thread_lane`]); 0 in
-    /// traces written before wire version 2.
+    /// Thread lane the span was opened on (see [`thread_lane`]).
     pub tid: u64,
     /// Request lane: the serving-layer `req_id` this span belongs to, 0
-    /// for spans that are not request-scoped and in traces written before
-    /// wire version 4.
+    /// for spans that are not request-scoped.
     pub req: u64,
     /// *Measured* bytes the opening thread allocated while the span was
     /// open (counting allocator, `ENTMATCHER_MEM`); 0 when counting was
-    /// off and in traces written before wire version 3.
+    /// off.
     pub heap_allocated: u64,
     /// *Measured* peak live heap bytes under the span (allocated minus
-    /// freed while open, high-water mark); 0 when counting was off and in
-    /// traces written before wire version 3.
+    /// freed while open, high-water mark); 0 when counting was off.
     pub heap_live_peak: u64,
 }
 
-crate::impl_json_struct!(to_only SpanRecord {
+crate::impl_json_struct!(SpanRecord {
     id,
     parent,
     name,
@@ -700,25 +695,6 @@ crate::impl_json_struct!(to_only SpanRecord {
     heap_allocated,
     heap_live_peak,
 });
-
-// Hand-written so v1 traces (no `tid`), v1/v2 traces (no measured heap
-// fields), and v1–v3 traces (no `req`) still parse.
-impl crate::json::FromJson for SpanRecord {
-    fn from_json(v: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        Ok(SpanRecord {
-            id: v.field("id")?,
-            parent: v.field("parent")?,
-            name: v.field("name")?,
-            start_ns: v.field("start_ns")?,
-            duration_ns: v.field("duration_ns")?,
-            bytes: v.field("bytes")?,
-            tid: v.field::<Option<u64>>("tid")?.unwrap_or(0),
-            req: v.field::<Option<u64>>("req")?.unwrap_or(0),
-            heap_allocated: v.field::<Option<u64>>("heap_allocated")?.unwrap_or(0),
-            heap_live_peak: v.field::<Option<u64>>("heap_live_peak")?.unwrap_or(0),
-        })
-    }
-}
 
 impl SpanRecord {
     /// The span's wall time as a [`Duration`].
@@ -756,9 +732,7 @@ pub struct Histogram {
     pub name: String,
     /// Total number of samples (including non-finite ones).
     pub count: u64,
-    /// Number of finite samples — the denominator of [`Self::mean`]. In
-    /// traces written before wire version 2 this field is absent and
-    /// defaults to `count`.
+    /// Number of finite samples — the denominator of [`Self::mean`].
     pub finite_count: u64,
     /// Sum of the finite samples.
     pub sum: f64,
@@ -772,7 +746,7 @@ pub struct Histogram {
     pub buckets: Vec<(i32, u64)>,
 }
 
-crate::impl_json_struct!(to_only Histogram {
+crate::impl_json_struct!(Histogram {
     name,
     count,
     finite_count,
@@ -781,23 +755,6 @@ crate::impl_json_struct!(to_only Histogram {
     max,
     buckets,
 });
-
-// Hand-written so v1 traces (no `finite_count`) still parse; defaulting
-// to `count` reproduces v1's mean for traces without non-finite samples.
-impl crate::json::FromJson for Histogram {
-    fn from_json(v: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        let count: u64 = v.field("count")?;
-        Ok(Histogram {
-            name: v.field("name")?,
-            count,
-            finite_count: v.field::<Option<u64>>("finite_count")?.unwrap_or(count),
-            sum: v.field("sum")?,
-            min: v.field("min")?,
-            max: v.field("max")?,
-            buckets: v.field("buckets")?,
-        })
-    }
-}
 
 impl Histogram {
     /// Mean of the finite samples (0 when there are none). Dividing by
@@ -878,8 +835,7 @@ pub struct Trace {
     pub spans: Vec<SpanRecord>,
     /// Counters, sorted by name.
     pub counters: Vec<Counter>,
-    /// Gauges, sorted by name. Empty in traces written before wire
-    /// version 4.
+    /// Gauges, sorted by name.
     pub gauges: Vec<Gauge>,
     /// Histograms, sorted by name.
     pub histograms: Vec<Histogram>,
@@ -893,14 +849,21 @@ crate::impl_json_struct!(to_only Trace {
     histograms,
 });
 
-// Hand-written so v1–v3 traces (no `gauges` table) still parse.
+// Reads the same fields as the serializer, after checking the version:
+// a document of any other wire version is rejected by name.
 impl crate::json::FromJson for Trace {
     fn from_json(v: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
+        let version: u64 = v.field("version")?;
+        if version != TRACE_VERSION {
+            return Err(crate::json::JsonError::new(format!(
+                "unsupported trace wire version {version} (expected {TRACE_VERSION})"
+            )));
+        }
         Ok(Trace {
-            version: v.field("version")?,
+            version,
             spans: v.field("spans")?,
             counters: v.field("counters")?,
-            gauges: v.field::<Option<Vec<Gauge>>>("gauges")?.unwrap_or_default(),
+            gauges: v.field("gauges")?,
             histograms: v.field("histograms")?,
         })
     }
@@ -1212,63 +1175,23 @@ mod tests {
     }
 
     #[test]
-    fn v1_trace_documents_still_parse() {
-        // A wire-version-1 document: spans lack `tid`, histograms lack
-        // `finite_count`.
-        let text = r#"{
-            "version": 1,
-            "spans": [{"id": 1, "parent": null, "name": "pipeline",
-                       "start_ns": 10, "duration_ns": 20, "bytes": 0}],
-            "counters": [],
-            "histograms": [{"name": "loss", "count": 4, "sum": 8.0,
-                            "min": 1.0, "max": 3.0, "buckets": [[0, 2], [1, 2]]}]
-        }"#;
-        let trace: Trace = crate::json::from_str(text).unwrap();
-        assert_eq!(trace.span("pipeline").unwrap().tid, 0);
-        let h = trace.histogram("loss").unwrap();
-        assert_eq!(h.finite_count, 4, "v1 histograms default finite_count to count");
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-        // v1 spans also lack the v3 measured-heap fields.
-        assert_eq!(trace.span("pipeline").unwrap().heap_allocated, 0);
-        assert_eq!(trace.span("pipeline").unwrap().heap_live_peak, 0);
-    }
-
-    #[test]
-    fn v2_trace_documents_still_parse() {
-        // A wire-version-2 document: spans carry `tid` but not the v3
-        // measured-heap fields.
-        let text = r#"{
-            "version": 2,
-            "spans": [{"id": 1, "parent": null, "name": "pipeline",
-                       "start_ns": 10, "duration_ns": 20, "bytes": 64, "tid": 3}],
-            "counters": [],
-            "histograms": []
-        }"#;
-        let trace: Trace = crate::json::from_str(text).unwrap();
-        let span = trace.span("pipeline").unwrap();
-        assert_eq!(span.tid, 3);
-        assert_eq!(span.bytes, 64);
-        assert_eq!(span.heap_allocated, 0);
-        assert_eq!(span.heap_live_peak, 0);
-    }
-
-    #[test]
-    fn v3_trace_documents_still_parse() {
-        // A wire-version-3 document: spans carry measured-heap fields but
-        // no `req`, and the document has no `gauges` table.
-        let text = r#"{
-            "version": 3,
-            "spans": [{"id": 1, "parent": null, "name": "pipeline",
-                       "start_ns": 10, "duration_ns": 20, "bytes": 0,
-                       "tid": 2, "heap_allocated": 100, "heap_live_peak": 80}],
-            "counters": [],
-            "histograms": []
-        }"#;
-        let trace: Trace = crate::json::from_str(text).unwrap();
-        let span = trace.span("pipeline").unwrap();
-        assert_eq!(span.heap_allocated, 100);
-        assert_eq!(span.req, 0, "v3 spans default req to 0");
-        assert!(trace.gauges.is_empty(), "v3 traces default gauges to empty");
+    fn traces_of_other_wire_versions_are_rejected_by_name() {
+        let current = Telemetry::new().snapshot();
+        let text = crate::json::to_string(&current);
+        assert!(crate::json::from_str::<Trace>(&text).is_ok());
+        for version in [1u64, 2, 3, TRACE_VERSION + 1] {
+            let other = text.replacen(
+                &format!("\"version\":{TRACE_VERSION}"),
+                &format!("\"version\":{version}"),
+                1,
+            );
+            assert_ne!(other, text, "the serialized trace must carry its version");
+            let err = crate::json::from_str::<Trace>(&other).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported trace wire version {version}")),
+                "v{version}: {err}"
+            );
+        }
     }
 
     #[test]

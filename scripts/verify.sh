@@ -29,38 +29,48 @@ cargo test -q --offline --workspace
 echo "verify: re-running tests with ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"
 ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off cargo test -q --offline --workspace
 
-# ANN candidate-generation group, called out by name: k-means training
-# parallelizes over fixed-size row chunks and the oracle recall floors
-# are bitwise/statistical claims, so this group in particular must hold
-# under the degenerate execution config — a thread-count- or SIMD-
-# dependent result here is a correctness bug, not a perf difference.
-echo "verify: ANN test group (defaults)"
-cargo test -q --offline -p entmatcher-core --lib ann
-cargo test -q --offline -p entmatcher-core --test ann_recall
-echo "verify: ANN test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib ann
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --test ann_recall
+# Named test groups below run as name filters, and a filter that matches
+# nothing passes silently. `test_group CMD...` runs one filter and fails
+# when it errors or runs zero tests, so moving or renaming a group's
+# tests cannot empty it unnoticed.
+test_group() {
+    out=$("$@" 2>&1) || {
+        printf '%s\n' "$out"
+        echo "verify: test group failed: $*" >&2
+        return 1
+    }
+    printf '%s\n' "$out"
+    passed=$(printf '%s\n' "$out" |
+        sed -n 's/^test result: ok\. \([0-9][0-9]*\) passed.*/\1/p' |
+        awk '{ n += $1 } END { print n + 0 }')
+    [ "$passed" -gt 0 ] || {
+        echo "verify: test group ran no tests: $*" >&2
+        return 1
+    }
+}
 
-# Quantized-storage test group, called out by name: the f16/int8 packed
-# operands carry bitwise scalar-vs-AVX2 identity claims and the snapshot
-# streaming path carries bitwise in-memory-equality claims, so the whole
-# group must hold identically under the degenerate execution config.
-echo "verify: quantized test group (defaults)"
-cargo test -q --offline -p entmatcher-linalg --lib quant
-cargo test -q --offline -p entmatcher-linalg --test quant_proptests
-cargo test -q --offline -p entmatcher-core --lib quantized
-cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
-echo "verify: quantized test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-linalg --lib quant
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-linalg --test quant_proptests
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib quantized
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
+for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
+    # ANN candidate-generation group: k-means training parallelizes over
+    # fixed-size row chunks and the oracle recall floors are bitwise/
+    # statistical claims, so this group in particular must hold under the
+    # degenerate execution config — a thread-count- or SIMD-dependent
+    # result here is a correctness bug, not a perf difference.
+    echo "verify: ANN test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib ann
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --test ann_recall
+
+    # Packed-operand and quantized-storage group: the f32/f16/int8 packed
+    # operand (`linalg::gemm`) carries bitwise scalar-vs-AVX2 identity and
+    # builder-equals-one-shot claims, and the snapshot streaming path
+    # carries bitwise in-memory-equality claims, so the whole group must
+    # hold identically under the degenerate execution config.
+    echo "verify: quantized test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib gemm
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib quant
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test quant_proptests
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib quantized
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
+done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
 # check the exported JSON parses and contains the pipeline stage spans.
@@ -319,20 +329,13 @@ done
 # the serial fast path, and the measured-vs-modeled cross-check harness
 # is exactly the kind of claim that must not depend on thread count or
 # SIMD level.
-echo "verify: memory test group (defaults)"
-cargo test -q --offline -p entmatcher-support --lib alloc
-cargo test -q --offline -p entmatcher-support --test alloc
-cargo test -q --offline -p entmatcher-support --test alloc_off
-cargo test -q --offline -p entmatcher-core --test memory_model
-echo "verify: memory test group (ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off)"
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --lib alloc
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --test alloc
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-support --test alloc_off
-ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off \
-    cargo test -q --offline -p entmatcher-core --test memory_model
+for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
+    echo "verify: memory test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-support --lib alloc
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-support --test alloc
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-support --test alloc_off
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --test memory_model
+done
 
 # Measured-memory smoke, in both execution configs: an ENTMATCHER_MEM=1
 # match must report its measured peak, put heap columns in the rendered
