@@ -446,11 +446,12 @@ mod seed_tests {
     }
 }
 
-/// LSH blocking (the time half of future direction 4): candidate pruning
-/// ratio, recall of the blocked candidates, and blocked-greedy F1 next to
-/// dense DInf.
+/// IVF candidate generation (the time half of future direction 4): DInf
+/// over an IVF index of the targets at growing probe widths, next to dense
+/// DInf. The full-width row probes every list and decides exactly as the
+/// dense pass does.
 pub fn ext_block(cfg: &Config, wb: &mut Workbench) -> Report {
-    use entmatcher_core::LshBlocker;
+    use entmatcher_core::IvfParams;
     let spec = benchmarks::dwy100k("D-W", cfg.dwy_scale);
     let (pair, emb) = wb.embeddings(&spec, EncoderKind::Gcn);
     let task = MatchTask::from_pair(pair);
@@ -459,36 +460,42 @@ pub fn ext_block(cfg: &Config, wb: &mut Workbench) -> Report {
     let dense = AlgorithmPreset::DInf.build().execute(&src, &tgt, &ctx);
     let dense_f1 = evaluate_links(&task.matching_to_links(&dense.matching), &task.gold).f1;
 
+    // The usual sqrt(n) list count, set explicitly so the sweep can end at
+    // full width.
+    let nlist = ((tgt.rows() as f64).sqrt().round() as usize).max(1);
     let mut t = TableBuilder::new(
         format!(
-            "Extension: LSH blocking on D-W ({} x {} candidates)",
+            "Extension: IVF candidates on D-W ({} x {} candidates, nlist = {nlist})",
             src.rows(),
             tgt.rows()
         ),
-        &["Config", "CandRatio", "F1", "T(s)", "DenseDInfF1"],
+        &["nprobe", "ListFrac", "F1", "T(s)", "DenseDInfF1"],
     );
     let mut rows_json = Vec::new();
-    for (bits, tables) in [(8usize, 2usize), (10, 4), (12, 10)] {
-        let blocker = LshBlocker {
-            bits,
-            tables,
-            seed: 41,
-        };
-        let start = std::time::Instant::now();
-        let blocks = blocker.block(&src, &tgt);
-        let matching = blocker.blocked_greedy(&src, &tgt);
-        let secs = start.elapsed().as_secs_f64();
-        let ratio = LshBlocker::candidate_ratio(&blocks, tgt.rows());
-        let f1 = evaluate_links(&task.matching_to_links(&matching), &task.gold).f1;
+    let widths = [1usize, 2, 4, 8].into_iter().filter(|&p| p < nlist);
+    for nprobe in widths.chain([nlist]) {
+        // DInf reads only each source's best candidate.
+        let ivf = AlgorithmPreset::DInf.build().with_candidates(
+            IvfParams {
+                nlist,
+                nprobe,
+                ..IvfParams::default()
+            },
+            1,
+        );
+        let run = ivf.execute(&src, &tgt, &ctx);
+        let secs = run.elapsed.as_secs_f64();
+        let probed = nprobe as f64 / nlist as f64;
+        let f1 = evaluate_links(&task.matching_to_links(&run.matching), &task.gold).f1;
         t.row(vec![
-            format!("bits={bits} tables={tables}"),
-            format!("{ratio:.3}"),
+            nprobe.to_string(),
+            format!("{probed:.3}"),
             fmt3(f1),
             format!("{secs:.2}"),
             fmt3(dense_f1),
         ]);
         rows_json.push(json!({
-            "bits": bits, "tables": tables, "candidate_ratio": ratio,
+            "nprobe": nprobe, "nlist": nlist, "probed_fraction": probed,
             "f1": f1, "seconds": secs, "dense_f1": dense_f1,
         }));
     }
@@ -548,7 +555,7 @@ mod block_tests {
     use super::*;
 
     #[test]
-    fn blocking_keeps_most_of_dense_f1_with_few_comparisons() {
+    fn full_width_ivf_matches_dense_f1_and_one_probe_prunes() {
         let mut wb = Workbench::new();
         let cfg = Config {
             scale: 0.03,
@@ -556,18 +563,16 @@ mod block_tests {
             ..Default::default()
         };
         let r = ext_block(&cfg, &mut wb);
-        for row in r.json["rows"].as_array().unwrap() {
-            let ratio = row["candidate_ratio"].as_f64().unwrap();
-            assert!(ratio < 0.9, "blocking should prune: {ratio}");
-        }
-        // The widest config should approach dense F1.
-        let last = r.json["rows"].as_array().unwrap().last().unwrap().clone();
+        let rows = r.json["rows"].as_array().unwrap();
+        let first = &rows[0];
+        assert_eq!(first["nprobe"].as_f64(), Some(1.0));
+        let probed = first["probed_fraction"].as_f64().unwrap();
+        assert!(probed < 0.5, "nprobe = 1 should probe few lists: {probed}");
+        let last = rows.last().unwrap();
+        assert_eq!(last["nprobe"].as_f64(), last["nlist"].as_f64());
         let f1 = last["f1"].as_f64().unwrap();
         let dense = last["dense_f1"].as_f64().unwrap();
-        assert!(
-            f1 > dense * 0.8,
-            "blocked F1 {f1:.3} too far below dense {dense:.3}"
-        );
+        assert_eq!(f1, dense, "full-width IVF F1 must equal dense DInf");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::args::ParsedArgs;
 use crate::USAGE;
-use entmatcher_core::{AlgorithmPreset, CandidateStrategy, IvfParams, LshBlocker, MatchContext};
+use entmatcher_core::{AlgorithmPreset, IvfParams, MatchContext};
 use entmatcher_data::benchmarks;
 use entmatcher_embed::{fuse, Encoder, UnifiedEmbeddings};
 use entmatcher_eval::{evaluate_links, MatchTask};
@@ -385,6 +385,23 @@ fn parse_stream_chunk(args: &ParsedArgs) -> Result<usize, CliError> {
     Ok(stream_chunk)
 }
 
+/// Parses `--candidates exact|ivf` with its `--nlist`/`--nprobe` knobs,
+/// shared by `match` and `serve`: `None` scores every pair, `Some` builds
+/// an IVF index.
+fn parse_candidates(args: &ParsedArgs) -> Result<Option<IvfParams>, CliError> {
+    match args.get("candidates").unwrap_or("exact") {
+        "exact" => Ok(None),
+        "ivf" => Ok(Some(IvfParams {
+            nlist: args.get_u64("nlist", 0)? as usize,
+            nprobe: args.get_u64("nprobe", 0)? as usize,
+            ..IvfParams::default()
+        })),
+        other => Err(CliError::Usage(format!(
+            "unknown candidate strategy {other:?}: expected exact or ivf"
+        ))),
+    }
+}
+
 fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
     let dir = Path::new(args.require("data")?);
     let emb_dir = Path::new(args.require("embeddings")?);
@@ -396,20 +413,7 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
     let shortlist_k = args.get_u64("shortlist", 32)?.max(1) as usize;
     let precision = parse_precision(args)?;
     let stream_chunk = parse_stream_chunk(args)?;
-    let strategy = match args.get("candidates").unwrap_or("exact") {
-        "exact" => None,
-        "lsh" => Some(CandidateStrategy::Lsh(LshBlocker::default())),
-        "ivf" => Some(CandidateStrategy::Ivf(IvfParams {
-            nlist: args.get_u64("nlist", 0)? as usize,
-            nprobe: args.get_u64("nprobe", 0)? as usize,
-            ..IvfParams::default()
-        })),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown candidate strategy {other:?}: expected exact, lsh or ivf"
-            )))
-        }
-    };
+    let candidates = parse_candidates(args)?;
     let pair = load_data(dir)?;
     let emb = load_embeddings(emb_dir, stream_chunk)?;
     if emb.source.rows() != pair.source.num_entities() {
@@ -426,8 +430,8 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
     if args.has_flag("dummies") {
         pipeline = pipeline.with_dummies(0.9);
     }
-    if let Some(strategy) = strategy {
-        pipeline = pipeline.with_candidates(strategy, shortlist_k);
+    if let Some(params) = candidates {
+        pipeline = pipeline.with_candidates(params, shortlist_k);
     }
     let report = pipeline.execute(&src, &tgt, &ctx);
     let links = task.matching_to_links(&report.matching);
@@ -505,19 +509,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_owned();
     let precision = parse_precision(args)?;
     let stream_chunk = parse_stream_chunk(args)?;
-    let ivf = match args.get("candidates").unwrap_or("exact") {
-        "exact" => None,
-        "ivf" => Some(IvfParams {
-            nlist: args.get_u64("nlist", 0)? as usize,
-            nprobe: args.get_u64("nprobe", 0)? as usize,
-            ..IvfParams::default()
-        }),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown candidate strategy {other:?}: expected exact or ivf"
-            )))
-        }
-    };
+    let ivf = parse_candidates(args)?;
     let use_ivf = ivf.is_some();
     let cfg = ServeConfig {
         precision,
@@ -1095,24 +1087,32 @@ mod tests {
     #[test]
     fn unknown_candidate_strategy_is_a_usage_error() {
         let root = temp_dir("badcand");
-        let err = run(&[
-            "match",
-            "--data",
-            root.to_str().unwrap(),
-            "--embeddings",
-            root.to_str().unwrap(),
-            "--algorithm",
-            "csls",
-            "--candidates",
-            "faiss",
-            "--out",
-            root.join("x.tsv").to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(
-            format!("{err}").contains("candidate strategy"),
-            "unexpected error: {err}"
-        );
+        let dir = root.to_str().unwrap();
+        let out = root.join("x.tsv");
+        for strategy in ["faiss", "lsh"] {
+            let commands: [&[&str]; 2] = [
+                &[
+                    "match",
+                    "--data",
+                    dir,
+                    "--algorithm",
+                    "csls",
+                    "--out",
+                    out.to_str().unwrap(),
+                ],
+                &["serve"],
+            ];
+            for command in commands {
+                let mut argv = command.to_vec();
+                argv.extend(["--embeddings", dir, "--candidates", strategy]);
+                let err = run(&argv).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(m) if m.contains("candidate strategy")),
+                    "{} --candidates {strategy}: unexpected error: {err}",
+                    command[0]
+                );
+            }
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 

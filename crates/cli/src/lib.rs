@@ -49,14 +49,15 @@ commands:
             Learn unified embeddings; writes source.emb / target.emb.
   match     --data DIR --embeddings DIR
             --algorithm <dinf|csls|rinf|rinf-wr|rinf-pb|sinkhorn|hungarian|smat|rl>
-            [--candidates <exact|lsh|ivf>] [--nlist N] [--nprobe N]
+            [--candidates <exact|ivf>] [--nlist N] [--nprobe N]
             [--shortlist K] [--precision <f32|f16|int8>]
             [--stream-chunk ROWS] [--dummies] [--trace FILE] --out FILE
             Match the test candidates; writes predicted pairs as TSV.
             --candidates selects the similarity stage: exact (dense, the
-            default), lsh (bucket blocking) or ivf (ANN index; --nlist
-            inverted lists, --nprobe probed per source, 0 = auto), each
-            keeping the top --shortlist scores per source (cosine only).
+            default) or ivf (ANN index over the targets, cosine only;
+            --nlist inverted lists, --nprobe probed per source, 0 = auto),
+            which keeps the top --shortlist scores per source (the exact
+            top --shortlist when nprobe = nlist).
             --precision stores the cosine similarity stage's packed
             target operand (and IVF posting lists) at a reduced width:
             f16 halves it, int8 quarters it (per-row symmetric scales;

@@ -12,15 +12,19 @@
 //! `ann.index.bytes`) follows the stored element width, not a hard-coded
 //! f32 width, so int8 postings really are ~4x smaller.
 //!
-//! Exactness at full probe width: each target row lives in exactly one
-//! list, so `nprobe == nlist` scans every row exactly once with the same
-//! kernel and merges per-list top-k results under the accumulator's total
-//! order (value desc, index asc). A per-list top-k followed by a merge
-//! retains exactly the global top-k under that order, ties included, so
-//! full-width search at [`Precision::F32`] reproduces
+//! Exactness at full probe width: each finite target row lives in exactly
+//! one list, so `nprobe == nlist` scans every such row exactly once with
+//! the same kernel and merges per-list top-k results under the
+//! accumulator's total order (value desc, index asc). A per-list top-k
+//! followed by a merge retains exactly the global top-k under that order,
+//! ties included, so full-width search at [`Precision::F32`] reproduces
 //! [`entmatcher_linalg::fused_topk`] bitwise — the property the oracle
-//! test suite pins. Quantized postings keep the same structure but score
-//! candidates against the dequantized members.
+//! test suite pins. A row with a NaN or infinite component joins no list
+//! (k-means cannot place it). Once rows are L2-normalized, as the pipeline
+//! and the service do, such a row holds a NaN and scores NaN against every
+//! query, and NaN never enters a top-k, so the exact scan skips it too.
+//! Quantized postings keep the same structure but score candidates
+//! against the dequantized members.
 
 use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision, TopKAccumulator};
 use entmatcher_support::telemetry;
@@ -46,6 +50,8 @@ pub struct IvfParams {
     /// unaffected; only the member strips are quantized, trading the exact
     /// per-candidate dot product for the dequantize-fused one. `F32`
     /// (default) preserves the bitwise-exact-at-full-probe-width property.
+    /// [`crate::MatchPipeline`] and [`crate::MatchService`] overwrite it
+    /// with their own precision.
     pub precision: Precision,
 }
 
@@ -98,7 +104,9 @@ impl IvfIndex {
         // plus alignment with the earliest-index tie rule.
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (r, &c) in km.assignments.iter().enumerate() {
-            ids[c as usize].push(r as u32);
+            if let Some(c) = c {
+                ids[c as usize].push(r as u32);
+            }
         }
         let lists: Vec<PostingList> = ids
             .into_iter()

@@ -10,6 +10,10 @@
 //! partial sums over fixed-size row chunks on the worker pool and reduces
 //! them in chunk order, so results are bit-identical for any
 //! `ENTMATCHER_THREADS` setting.
+//!
+//! Rows with a NaN or infinite component have no usable distance or mean:
+//! they are never drawn as seeds, carry zero D² weight, stay out of the
+//! mean update and get no assignment.
 
 use entmatcher_linalg::parallel::{par_map_rows_grained, par_row_chunks_mut_grained, Grain};
 use entmatcher_linalg::{fused_argmax_affine, normalize_rows_l2, Matrix};
@@ -22,33 +26,38 @@ use entmatcher_support::telemetry;
 const UPDATE_CHUNK: usize = 4096;
 
 /// A trained coarse quantizer: `nlist` unit-norm centroids plus the final
-/// assignment of every training row to its nearest centroid.
+/// assignment of every finite training row to its nearest centroid.
 pub struct KMeans {
     /// `nlist x d` centroid matrix, rows L2-normalized.
     pub centroids: Matrix,
     /// `assignments[r]` is the centroid index of training row `r`,
     /// consistent with the returned `centroids` (a final assignment pass
-    /// runs after the last update).
-    pub assignments: Vec<u32>,
+    /// runs after the last update); `None` when row `r` has a non-finite
+    /// component.
+    pub assignments: Vec<Option<u32>>,
 }
 
 /// Trains `nlist` centroids on the rows of `data` with `iters` Lloyd
 /// iterations. Fully deterministic for a given `(data, nlist, iters,
-/// seed)` tuple. `nlist` is clamped to the number of rows; an empty
-/// `data` yields zero centroids.
+/// seed)` tuple. `nlist` is clamped to the number of finite rows; a
+/// `data` without one yields zero centroids.
 pub fn train(data: &Matrix, nlist: usize, iters: usize, seed: u64) -> KMeans {
     let _span = telemetry::span("ann.train");
     let n = data.rows();
     let d = data.cols();
-    let nlist = nlist.clamp(usize::from(n > 0), n.max(usize::from(n > 0)));
-    if n == 0 || nlist == 0 {
+    let finite: Vec<usize> = (0..n)
+        .filter(|&r| data.row(r).iter().all(|v| v.is_finite()))
+        .collect();
+    let m = finite.len();
+    if m == 0 {
         return KMeans {
             centroids: Matrix::zeros(0, d),
-            assignments: Vec::new(),
+            assignments: vec![None; n],
         };
     }
+    let nlist = nlist.clamp(1, m);
     let mut rng = StdRng::seed_from_u64(seed);
-    let seed_rows = plus_plus_seeds(data, nlist, &mut rng);
+    let seed_rows = plus_plus_seeds(data, &finite, nlist, &mut rng);
     let mut centroids = data
         .select_rows(&seed_rows)
         .expect("seed rows in range by construction");
@@ -64,8 +73,8 @@ pub fn train(data: &Matrix, nlist: usize, iters: usize, seed: u64) -> KMeans {
             let row = next.row_mut(c);
             if counts[c] == 0 {
                 // Empty cluster: reseed deterministically from a random
-                // data row so the list count never silently shrinks.
-                let r = rng.gen_range(0..n);
+                // finite row so the list count never silently shrinks.
+                let r = finite[rng.gen_range(0..m)];
                 row.copy_from_slice(data.row(r));
                 reseeded += 1;
             } else {
@@ -96,10 +105,12 @@ pub fn train(data: &Matrix, nlist: usize, iters: usize, seed: u64) -> KMeans {
 /// split — D² weighting makes coverage overwhelmingly likely, which the
 /// recall floors in the oracle tests depend on. The per-seed distance
 /// refresh runs chunked on the pool; the weighted draw itself is a serial
-/// O(n) prefix walk, deterministic in the PRNG stream.
-fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> {
+/// O(n) prefix walk, deterministic in the PRNG stream. Seeds are drawn
+/// from the `finite` rows only, and every other row keeps zero weight.
+fn plus_plus_seeds(data: &Matrix, finite: &[usize], nlist: usize, rng: &mut StdRng) -> Vec<usize> {
     let n = data.rows();
     let d = data.cols();
+    let m = finite.len();
     let dist2 = |a: &[f32], b: &[f32]| -> f64 {
         a.iter()
             .zip(b)
@@ -110,7 +121,7 @@ fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> 
             .sum()
     };
     let mut seeds = Vec::with_capacity(nlist);
-    seeds.push(rng.gen_range(0..n));
+    seeds.push(finite[rng.gen_range(0..m)]);
     let mut min_d2 = vec![0.0f64; n];
     let refresh = |min_d2: &mut [f64], seed_row: usize, first: bool| {
         let pivot = data.row(seed_row);
@@ -121,7 +132,7 @@ fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> 
             |start, chunk| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     let d2 = dist2(data.row(start + off), pivot);
-                    if first || d2 < *slot {
+                    if d2.is_finite() && (first || d2 < *slot) {
                         *slot = d2;
                     }
                 }
@@ -134,12 +145,12 @@ fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> 
         let pick = if total <= 0.0 {
             // Every remaining row coincides with a chosen seed (duplicate
             // data): fall back to a uniform draw.
-            rng.gen_range(0..n)
+            finite[rng.gen_range(0..m)]
         } else {
             let mut mass = rng.gen::<f64>() * total;
-            let mut chosen = n - 1;
-            for (r, &w) in min_d2.iter().enumerate() {
-                mass -= w;
+            let mut chosen = finite[m - 1];
+            for &r in finite {
+                mass -= min_d2[r];
                 if mass <= 0.0 {
                     chosen = r;
                     break;
@@ -155,18 +166,20 @@ fn plus_plus_seeds(data: &Matrix, nlist: usize, rng: &mut StdRng) -> Vec<usize> 
 
 /// Nearest-centroid assignment by maximum dot product, streamed through
 /// the fused GEMM kernel. Ties break to the lowest centroid index
-/// (first-occurrence-wins, inherited from `fused_argmax_affine`).
-fn assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
+/// (first-occurrence-wins, inherited from `fused_argmax_affine`). Rows
+/// with a non-finite component get `None`.
+fn assign(data: &Matrix, centroids: &Matrix) -> Vec<Option<u32>> {
     fused_argmax_affine(data, centroids, 1.0, None, None)
         .expect("kmeans operands share d by construction")
         .into_iter()
-        .map(|best| best.expect("centroid set is non-empty"))
+        .enumerate()
+        .map(|(r, best)| best.filter(|_| data.row(r).iter().all(|v| v.is_finite())))
         .collect()
 }
 
 /// Per-centroid coordinate sums and member counts, computed as chunked
 /// partial sums on the pool and reduced serially in chunk order.
-fn partial_sums(data: &Matrix, assignments: &[u32], nlist: usize) -> (Vec<f32>, Vec<u32>) {
+fn partial_sums(data: &Matrix, assignments: &[Option<u32>], nlist: usize) -> (Vec<f32>, Vec<u32>) {
     let n = data.rows();
     let d = data.cols();
     let nchunks = n.div_ceil(UPDATE_CHUNK);
@@ -179,7 +192,8 @@ fn partial_sums(data: &Matrix, assignments: &[u32], nlist: usize) -> (Vec<f32>, 
             let mut sums = vec![0.0f32; nlist * d];
             let mut counts = vec![0u32; nlist];
             for r in lo..hi {
-                let c = assignments[r] as usize;
+                let Some(c) = assignments[r] else { continue };
+                let c = c as usize;
                 counts[c] += 1;
                 for (dst, &v) in sums[c * d..(c + 1) * d].iter_mut().zip(data.row(r)) {
                     *dst += v;
@@ -224,7 +238,7 @@ mod tests {
         let km = train(&data, 4, 5, 11);
         assert_eq!(km.centroids.shape(), (4, 8));
         assert_eq!(km.assignments.len(), 60);
-        assert!(km.assignments.iter().all(|&a| a < 4));
+        assert!(km.assignments.iter().all(|&a| matches!(a, Some(c) if c < 4)));
         // Centroids are unit-norm.
         for c in 0..4 {
             let norm: f32 = km.centroids.row(c).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -251,7 +265,7 @@ mod tests {
         let one = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]).unwrap();
         let km = train(&one, 8, 3, 1);
         assert_eq!(km.centroids.rows(), 1);
-        assert_eq!(km.assignments, vec![0]);
+        assert_eq!(km.assignments, vec![Some(0)]);
     }
 
     #[test]
@@ -261,7 +275,8 @@ mod tests {
         // easy data).
         let (data, gold) = sample(120, 16, 4, 0.02, 9);
         let km = train(&data, 4, 6, 5);
-        let mut seen: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+        let mut seen: std::collections::HashMap<u32, Option<u32>> =
+            std::collections::HashMap::new();
         let mut pure = true;
         for (r, &cluster) in gold.iter().enumerate() {
             let list = km.assignments[r];

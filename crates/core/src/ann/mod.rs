@@ -1,372 +1,15 @@
 //! Sub-quadratic candidate generation.
 //!
-//! Every matcher in the crate ultimately consumes "for each source entity,
-//! a scored list of plausible targets". The dense pipeline materializes
-//! that list implicitly as a full `n_s x n_t` score matrix; this module
-//! makes it explicit as a [`Shortlist`] and unifies the three ways of
-//! producing one behind [`CandidateSource`]:
-//!
-//! * [`ExactStreaming`] — the blocked-GEMM fused top-k pass. Exact, O(n²)
-//!   time, O(n·k) memory. This is the recall oracle for the other two.
-//! * [`LshCandidates`] — [`crate::blocking::LshBlocker`] buckets rescored
-//!   with exact dot products. Sub-quadratic, recall depends on bits/tables.
-//! * [`IvfCandidates`] — the [`IvfIndex`] IVF-flat index. Sub-quadratic,
-//!   recall controlled by `nprobe`; `nprobe == nlist` is bitwise-exact.
-//!
-//! All sources speak raw dot products (the `linalg::fused` convention):
-//! callers normalize rows first when they mean cosine. Shortlists are
-//! best-first, so `shortlist[i][0]` is source `i`'s greedy pick, and the
-//! consumers in this module (greedy, stable marriage, shortlist-CSLS,
-//! densification for the O(n²) matchers) never touch a dense matrix except
-//! where the downstream algorithm itself is inherently dense.
+//! The dense pipeline scores every `n_s x n_t` pair. [`IvfIndex`] instead
+//! partitions the target side into `nlist` k-means cells and scans only
+//! the `nprobe` cells whose centroids score highest for each source, so a
+//! probe costs a fraction of the dense pass and `nprobe == nlist` is
+//! bitwise-exact. Scores are raw dot products (the `linalg::fused`
+//! convention): callers normalize rows first when they mean cosine.
+//! [`crate::MatchPipeline`] and [`crate::MatchService`] both reach it
+//! through an `Option<IvfParams>`.
 
 pub mod ivf;
 pub mod kmeans;
 
-use crate::blocking::LshBlocker;
-use crate::matching::Matching;
-use entmatcher_linalg::{dot, fused_topk, Matrix, TopKAccumulator};
-use entmatcher_support::telemetry;
-
 pub use ivf::{IvfIndex, IvfParams};
-
-/// Per-source scored candidate lists, best first. `shortlist[i]` holds up
-/// to `k` `(target_id, score)` pairs for source row `i`.
-pub type Shortlist = Vec<Vec<(u32, f32)>>;
-
-/// A strategy for producing per-source candidate shortlists.
-pub trait CandidateSource: Send + Sync {
-    /// Stable name for traces and reports.
-    fn name(&self) -> &'static str;
-
-    /// Top candidates of each `source` row against the `target` rows,
-    /// scored by dot product, best first. Lists may be shorter than `k`
-    /// (blocking can abstain) but never longer.
-    fn shortlist(&self, source: &Matrix, target: &Matrix, k: usize) -> Shortlist;
-}
-
-/// Exact candidate generation: the fused blocked-GEMM top-k pass over the
-/// full target side. The oracle the approximate sources are measured
-/// against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactStreaming;
-
-impl CandidateSource for ExactStreaming {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn shortlist(&self, source: &Matrix, target: &Matrix, k: usize) -> Shortlist {
-        fused_topk(source, target, k).expect("pipeline guarantees matching dims")
-    }
-}
-
-/// LSH blocking rescored into a shortlist: bucket candidates from
-/// [`LshBlocker::block`] get exact dot-product scores and per-source
-/// top-k selection. Sources whose buckets are empty get empty lists.
-#[derive(Debug, Clone, Default)]
-pub struct LshCandidates {
-    /// The underlying blocker (bits / tables / seed).
-    pub blocker: LshBlocker,
-}
-
-impl CandidateSource for LshCandidates {
-    fn name(&self) -> &'static str {
-        "lsh"
-    }
-
-    fn shortlist(&self, source: &Matrix, target: &Matrix, k: usize) -> Shortlist {
-        let blocks = self.blocker.block(source, target);
-        let mut candidates_total = 0u64;
-        let out: Shortlist = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, cands)| {
-                candidates_total += cands.len() as u64;
-                let row = source.row(i);
-                let mut acc = TopKAccumulator::new(k);
-                for &j in cands {
-                    acc.push(j, dot(row, target.row(j as usize)));
-                }
-                acc.into_sorted_desc()
-            })
-            .collect();
-        telemetry::add("ann.candidates", candidates_total);
-        out
-    }
-}
-
-/// IVF-flat candidate generation: builds an [`IvfIndex`] over the target
-/// side per call, then probes it for every source row.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IvfCandidates {
-    /// Index construction and probing knobs.
-    pub params: IvfParams,
-}
-
-impl CandidateSource for IvfCandidates {
-    fn name(&self) -> &'static str {
-        "ivf"
-    }
-
-    fn shortlist(&self, source: &Matrix, target: &Matrix, k: usize) -> Shortlist {
-        let index = IvfIndex::build(target, &self.params);
-        let nprobe = if self.params.nprobe == 0 {
-            index.default_nprobe()
-        } else {
-            self.params.nprobe
-        };
-        index.search(source, k, nprobe)
-    }
-}
-
-/// Greedy matching on a shortlist: each source takes its best-scoring
-/// candidate (lists are best-first, so that is the head), `None` when the
-/// list is empty.
-pub fn greedy_on_shortlist(shortlist: &Shortlist) -> Matching {
-    Matching::new(
-        shortlist
-            .iter()
-            .map(|hits| hits.first().map(|&(j, _)| j))
-            .collect(),
-    )
-}
-
-/// CSLS-corrected greedy matching on shortlists.
-///
-/// `st` is the source→target shortlist, `ts` the target→source shortlist
-/// (the same [`CandidateSource`] called in the reverse direction); `k` is
-/// the CSLS neighbourhood size. Each side's hubness penalty is the mean of
-/// its top-`k` shortlist scores — the shortlist approximation of the dense
-/// CSLS `phi` — and each source picks the candidate maximizing
-/// `(2s - phi_s) - phi_t`, ties to the lowest target id.
-pub fn csls_on_shortlist(st: &Shortlist, ts: &Shortlist, k: usize) -> Matching {
-    let phi = |hits: &Vec<(u32, f32)>| -> f32 {
-        let take = hits.len().min(k.max(1));
-        if take == 0 {
-            return 0.0;
-        }
-        hits[..take].iter().map(|&(_, s)| s).sum::<f32>() / take as f32
-    };
-    let phi_t: Vec<f32> = ts.iter().map(phi).collect();
-    let assignment = st
-        .iter()
-        .map(|hits| {
-            let phi_s = phi(hits);
-            let mut best: Option<(u32, f32)> = None;
-            for &(j, s) in hits {
-                let corrected = (2.0 * s - phi_s) - phi_t.get(j as usize).copied().unwrap_or(0.0);
-                let better = match best {
-                    None => true,
-                    Some((bj, bc)) => corrected > bc || (corrected == bc && j < bj),
-                };
-                if better {
-                    best = Some((j, corrected));
-                }
-            }
-            best.map(|(j, _)| j)
-        })
-        .collect();
-    Matching::new(assignment)
-}
-
-/// One-to-one stable matching on a shortlist (Gale–Shapley, sources
-/// propose). Source preference order is the shortlist order; a target
-/// prefers the higher-scoring proposal and keeps its current partner on
-/// ties. Sources that exhaust their lists stay unmatched — with a
-/// shortlist there may be no acceptable target left, unlike the dense
-/// stable matcher which can always keep proposing.
-pub fn stable_on_shortlist(shortlist: &Shortlist, n_t: usize) -> Matching {
-    let n_s = shortlist.len();
-    let mut next_choice = vec![0usize; n_s];
-    let mut engaged_to: Vec<Option<(u32, f32)>> = vec![None; n_t]; // (source, score)
-    let mut assignment: Vec<Option<u32>> = vec![None; n_s];
-    let mut free: Vec<u32> = (0..n_s as u32).rev().collect();
-    while let Some(i) = free.pop() {
-        let hits = &shortlist[i as usize];
-        let mut matched = false;
-        while next_choice[i as usize] < hits.len() {
-            let (j, s) = hits[next_choice[i as usize]];
-            next_choice[i as usize] += 1;
-            let slot = &mut engaged_to[j as usize];
-            match *slot {
-                None => {
-                    *slot = Some((i, s));
-                    assignment[i as usize] = Some(j);
-                    matched = true;
-                    break;
-                }
-                Some((holder, held)) if s > held => {
-                    *slot = Some((i, s));
-                    assignment[i as usize] = Some(j);
-                    assignment[holder as usize] = None;
-                    free.push(holder);
-                    matched = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        if !matched {
-            assignment[i as usize] = None;
-        }
-    }
-    Matching::new(assignment)
-}
-
-/// Expands a shortlist into a dense `n_s x n_t` score matrix for the
-/// inherently dense matchers (Hungarian, Sinkhorn, RL). Non-candidate
-/// cells get `fill` (pass something below every real score, e.g.
-/// [`densify_fill`]); candidates get their exact shortlist scores.
-///
-/// This reintroduces O(n_s * n_t) memory — acceptable for matchers that
-/// are Ω(n²) anyway, pointless for greedy/stable which have sparse-native
-/// consumers above.
-pub fn densify_shortlist(shortlist: &Shortlist, n_t: usize, fill: f32) -> Matrix {
-    let mut m = Matrix::from_fn(shortlist.len(), n_t, |_, _| fill);
-    for (i, hits) in shortlist.iter().enumerate() {
-        let row = m.row_mut(i);
-        for &(j, s) in hits {
-            row[j as usize] = s;
-        }
-    }
-    m
-}
-
-/// A fill value strictly below every score in the shortlist (1.0 below the
-/// minimum, or 0.0 for an empty shortlist) so densified non-candidates
-/// never outrank a real candidate.
-pub fn densify_fill(shortlist: &Shortlist) -> f32 {
-    shortlist
-        .iter()
-        .flatten()
-        .map(|&(_, s)| s)
-        .fold(f32::INFINITY, f32::min)
-        .min(0.0)
-        - 1.0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
-
-    fn pair(entities: usize, clusters: usize, seed: u64) -> (Matrix, Matrix) {
-        let p = clustered_embeddings(&EmbeddingSpec {
-            entities,
-            dim: 16,
-            clusters,
-            spread: 0.25,
-            noise: 0.05,
-            seed,
-        });
-        (p.source, p.target)
-    }
-
-    #[test]
-    fn exact_source_heads_are_argmaxes() {
-        let (s, t) = pair(50, 5, 2);
-        let shortlist = ExactStreaming.shortlist(&s, &t, 5);
-        assert_eq!(shortlist.len(), 50);
-        let greedy = greedy_on_shortlist(&shortlist);
-        for (i, pick) in greedy.assignment().iter().enumerate() {
-            let row = s.row(i);
-            let best = (0..t.rows())
-                .max_by(|&a, &b| {
-                    dot(row, t.row(a))
-                        .partial_cmp(&dot(row, t.row(b)))
-                        .unwrap()
-                })
-                .unwrap() as u32;
-            assert_eq!(*pick, Some(best), "source {i}");
-        }
-    }
-
-    #[test]
-    fn all_sources_agree_on_easy_data() {
-        // With tight clusters and identity gold, exact / LSH / IVF should
-        // all put the true match at the head for almost every source.
-        let (s, t) = pair(200, 10, 6);
-        let sources: Vec<Box<dyn CandidateSource>> = vec![
-            Box::new(ExactStreaming),
-            Box::new(LshCandidates::default()),
-            Box::new(IvfCandidates::default()),
-        ];
-        for src in sources {
-            let m = greedy_on_shortlist(&src.shortlist(&s, &t, 10));
-            let correct = m
-                .assignment()
-                .iter()
-                .enumerate()
-                .filter(|(i, pick)| **pick == Some(*i as u32))
-                .count();
-            assert!(
-                correct > 170,
-                "{} source found only {correct}/200 identity matches",
-                src.name()
-            );
-        }
-    }
-
-    #[test]
-    fn csls_on_shortlist_penalizes_hubs() {
-        // Target 0 is a hub: it outranks target 1 for *both* sources
-        // (s1·t0 = 0.818 > s1·t1 = 0.8). CSLS's neighbourhood penalty
-        // must push source 1 back to its own target.
-        let s = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.6, 0.8]).unwrap();
-        let t = Matrix::from_vec(2, 2, vec![0.95, 0.31, 0.0, 1.0]).unwrap();
-        let st = ExactStreaming.shortlist(&s, &t, 2);
-        let ts = ExactStreaming.shortlist(&t, &s, 2);
-        let plain = greedy_on_shortlist(&st);
-        let csls = csls_on_shortlist(&st, &ts, 1);
-        // Sanity: dense greedy collapses onto the hub.
-        assert_eq!(plain.assignment()[0], plain.assignment()[1]);
-        assert_ne!(csls.assignment()[0], csls.assignment()[1]);
-    }
-
-    #[test]
-    fn stable_on_shortlist_resolves_contention() {
-        // Both sources prefer target 0; the stronger claim wins and the
-        // loser falls through to its second choice.
-        let shortlist: Shortlist = vec![
-            vec![(0, 0.9), (1, 0.5)],
-            vec![(0, 0.8), (1, 0.7)],
-        ];
-        let m = stable_on_shortlist(&shortlist, 2);
-        assert_eq!(m.assignment(), &[Some(0), Some(1)]);
-
-        // Exhausted list -> unmatched.
-        let short: Shortlist = vec![vec![(0, 0.9)], vec![(0, 0.8)]];
-        let m = stable_on_shortlist(&short, 1);
-        assert_eq!(m.assignment(), &[Some(0), None]);
-    }
-
-    #[test]
-    fn densify_round_trips_scores() {
-        let shortlist: Shortlist = vec![vec![(1, 0.5)], vec![]];
-        let fill = densify_fill(&shortlist);
-        assert!(fill < 0.5);
-        let m = densify_shortlist(&shortlist, 3, fill);
-        assert_eq!(m.shape(), (2, 3));
-        assert_eq!(m.row(0), &[fill, 0.5, fill]);
-        assert_eq!(m.row(1), &[fill, fill, fill]);
-    }
-
-    #[test]
-    fn empty_inputs_yield_empty_shortlists() {
-        let empty = Matrix::zeros(0, 8);
-        let some = Matrix::from_fn(2, 8, |r, c| (r * 8 + c) as f32);
-        for src in [
-            Box::new(ExactStreaming) as Box<dyn CandidateSource>,
-            Box::new(LshCandidates::default()),
-            Box::new(IvfCandidates::default()),
-        ] {
-            assert!(src.shortlist(&empty, &some, 4).is_empty(), "{}", src.name());
-            let lists = src.shortlist(&some, &empty, 4);
-            assert_eq!(lists.len(), 2, "{}", src.name());
-            assert!(lists.iter().all(Vec::is_empty), "{}", src.name());
-        }
-        assert_eq!(greedy_on_shortlist(&Vec::new()).assignment().len(), 0);
-        assert_eq!(densify_fill(&Vec::new()), -1.0);
-    }
-}

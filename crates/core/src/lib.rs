@@ -33,7 +33,6 @@
 //! ```
 
 pub mod ann;
-pub mod blocking;
 pub mod dummy;
 pub mod error;
 pub mod matching;
@@ -44,15 +43,12 @@ pub mod similarity;
 pub mod spec;
 pub mod streaming;
 
-pub use ann::{
-    CandidateSource, ExactStreaming, IvfCandidates, IvfIndex, IvfParams, LshCandidates, Shortlist,
-};
-pub use blocking::LshBlocker;
+pub use ann::{IvfIndex, IvfParams};
 pub use error::CoreError;
 pub use matching::multi::{MultiMatching, ProbabilisticMatcher, ThresholdMatcher};
 pub use matching::{greedy::Greedy, hungarian::Hungarian, rl::RlMatcher, stable::StableMarriage};
 pub use matching::{MatchContext, Matcher, Matching};
-pub use pipeline::{CandidateStrategy, ExecutionReport, MatchPipeline};
+pub use pipeline::{ExecutionReport, MatchPipeline};
 pub use score::csls::Gid;
 pub use serve::{MatchService, Query, ServeConfig, TargetIndex, TopKResult};
 pub use score::{

@@ -9,10 +9,7 @@
 //! are derived from those same span measurements, so the report and an
 //! exported trace always agree.
 
-use crate::ann::{
-    densify_fill, densify_shortlist, CandidateSource, IvfCandidates, IvfParams, LshCandidates,
-};
-use crate::blocking::LshBlocker;
+use crate::ann::{IvfIndex, IvfParams};
 use crate::dummy::pad_with_dummies;
 use crate::matching::{MatchContext, Matcher, Matching};
 use crate::score::ScoreOptimizer;
@@ -23,31 +20,6 @@ use entmatcher_linalg::{
 use entmatcher_support::telemetry;
 use std::time::Duration;
 
-/// How the pipeline generates the candidate scores the optimizer and
-/// matcher consume.
-#[derive(Debug, Clone)]
-pub enum CandidateStrategy {
-    /// Dense `n_s x n_t` similarity matrix — every pair scored. The
-    /// default, and the only strategy for distance metrics.
-    Exact,
-    /// LSH blocking: only bucket-colliding pairs scored, rescored into a
-    /// top-k shortlist per source.
-    Lsh(LshBlocker),
-    /// IVF-flat ANN index over the target side, probed per source.
-    Ivf(IvfParams),
-}
-
-impl CandidateStrategy {
-    /// Short name used in traces and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CandidateStrategy::Exact => "exact",
-            CandidateStrategy::Lsh(_) => "lsh",
-            CandidateStrategy::Ivf(_) => "ivf",
-        }
-    }
-}
-
 /// A composed matching pipeline.
 pub struct MatchPipeline {
     /// Similarity metric deriving `S` from the embeddings.
@@ -56,13 +28,14 @@ pub struct MatchPipeline {
     pub optimizer: Box<dyn ScoreOptimizer>,
     /// Matcher producing aligned pairs.
     pub matcher: Box<dyn Matcher>,
-    /// Candidate generation strategy. Non-exact strategies replace the
-    /// dense similarity pass with a per-source shortlist (cosine metric
-    /// only — the ANN structures speak dot products); the shortlist is
-    /// densified with a below-minimum fill so the downstream optimizer
+    /// IVF candidate generation. `None` (the default) scores every pair
+    /// densely. `Some` replaces the dense similarity pass with a
+    /// per-source shortlist probed from an [`IvfIndex`] over the targets
+    /// (cosine metric only — the index speaks dot products); the shortlist
+    /// is densified with a below-minimum fill so the downstream optimizer
     /// and matcher are unchanged.
-    pub candidates: CandidateStrategy,
-    /// Shortlist length per source for non-exact strategies.
+    pub candidates: Option<IvfParams>,
+    /// Shortlist length per source under IVF candidates.
     pub shortlist_k: usize,
     /// Whether to square the score matrix with dummy nodes before matching
     /// (the paper's unmatchable-setting protocol for Hun./SMat, §5.1).
@@ -76,13 +49,14 @@ pub struct MatchPipeline {
     /// quantile have rejected it.
     pub dummy_quantile: f64,
     /// Storage precision for the target-side packed operand in the cosine
-    /// similarity pass. At `F32` (default) nothing changes. At `F16`/`Int8`
-    /// the exact-cosine pass packs the normalized target into quantized
-    /// GEMM strips and scores through the dequantize-fused micro-kernels,
-    /// and the IVF strategy stores its posting lists quantized — trading a
-    /// bounded score perturbation (f16 exact-widening; int8 ±scale/2 per
-    /// element) for 2x/4x smaller packed operands. Distance metrics and
-    /// LSH rescoring stay f32 (their kernels are not packed products).
+    /// similarity pass, and for the IVF posting lists (which always take
+    /// this precision, as in serving). At `F32` (default) nothing changes.
+    /// At `F16`/`Int8` the dense cosine pass packs the normalized target
+    /// into quantized GEMM strips and scores through the dequantize-fused
+    /// micro-kernels — trading a bounded score perturbation (f16
+    /// exact-widening; int8 ±scale/2 per element) for 2x/4x smaller packed
+    /// operands. Distance metrics stay f32 (their kernels are not packed
+    /// products).
     pub precision: Precision,
 }
 
@@ -131,6 +105,28 @@ fn score_quantile(scores: &Matrix, q: f64) -> f32 {
     sample[idx]
 }
 
+/// Expands per-source shortlists (best first) into a dense `n_s x n_t`
+/// score matrix for the optimizer and matcher. Non-candidate cells get a
+/// fill strictly below every shortlisted score (`min(min_score, 0) - 1`),
+/// so they never outrank a real candidate.
+fn densify(shortlist: &[Vec<(u32, f32)>], n_t: usize) -> Matrix {
+    let fill = shortlist
+        .iter()
+        .flatten()
+        .map(|&(_, s)| s)
+        .fold(f32::INFINITY, f32::min)
+        .min(0.0)
+        - 1.0;
+    let mut m = Matrix::from_fn(shortlist.len(), n_t, |_, _| fill);
+    for (i, hits) in shortlist.iter().enumerate() {
+        let row = m.row_mut(i);
+        for &(j, s) in hits {
+            row[j as usize] = s;
+        }
+    }
+    m
+}
+
 impl MatchPipeline {
     /// Composes a pipeline.
     pub fn new(
@@ -142,7 +138,7 @@ impl MatchPipeline {
             metric,
             optimizer,
             matcher,
-            candidates: CandidateStrategy::Exact,
+            candidates: None,
             shortlist_k: 32,
             pad_dummies: false,
             dummy_quantile: 0.9,
@@ -150,11 +146,11 @@ impl MatchPipeline {
         }
     }
 
-    /// Selects a candidate-generation strategy and the per-source
-    /// shortlist length it keeps.
-    pub fn with_candidates(mut self, strategy: CandidateStrategy, shortlist_k: usize) -> Self {
+    /// Generates candidates with an IVF index built from `params`, keeping
+    /// the top `shortlist_k` scores per source.
+    pub fn with_candidates(mut self, params: IvfParams, shortlist_k: usize) -> Self {
         assert!(shortlist_k >= 1, "shortlist must keep at least one candidate");
-        self.candidates = strategy;
+        self.candidates = Some(params);
         self.shortlist_k = shortlist_k;
         self
     }
@@ -193,59 +189,43 @@ impl MatchPipeline {
         }
     }
 
-    /// The similarity-stage score matrix under the configured candidate
-    /// strategy. Exact (and any non-cosine metric, where the dot-product
-    /// ANN structures don't apply) computes the dense matrix; LSH/IVF
-    /// build a per-source shortlist on the row-normalized embeddings and
-    /// densify it with a below-minimum fill, so non-candidates can never
+    /// The similarity-stage score matrix. A distance metric, or dense f32
+    /// cosine, is the plain [`similarity_matrix`]. Dense cosine at a
+    /// reduced precision scores the row-normalized embeddings through the
+    /// quantized packed operand. IVF candidates keep each source's top
+    /// `shortlist_k` probed targets on the row-normalized embeddings and
+    /// densify them with a below-minimum fill, so non-candidates can never
     /// outrank a scored pair downstream.
     fn candidate_scores(&self, source: &Matrix, target: &Matrix) -> Matrix {
-        let source_impl: Box<dyn CandidateSource> = match (&self.candidates, self.metric) {
-            (CandidateStrategy::Exact, SimilarityMetric::Cosine)
-                if self.precision != Precision::F32 =>
-            {
-                // Quantized dense cosine: pack the normalized target at the
-                // reduced precision and run the dequantize-fused GEMM. The
-                // packed operand (the O(n·d) term) shrinks by the element
-                // width; the O(n²) score matrix is unchanged.
-                let mut s = source.clone();
-                let mut t = target.clone();
-                normalize_rows_l2(&mut s);
-                normalize_rows_l2(&mut t);
-                let packed = PackedAny::pack(&t, self.precision);
-                return matmul_blocked_packed(&s, &packed)
-                    .expect("normalized copies share the embedding dimension");
-            }
-            (CandidateStrategy::Exact, _) | (_, SimilarityMetric::Euclidean)
-            | (_, SimilarityMetric::Manhattan) => {
-                return similarity_matrix(source, target, self.metric);
-            }
-            (CandidateStrategy::Lsh(blocker), SimilarityMetric::Cosine) => {
-                Box::new(LshCandidates {
-                    blocker: blocker.clone(),
-                })
-            }
-            (CandidateStrategy::Ivf(params), SimilarityMetric::Cosine) => {
-                // The pipeline precision overrides an unset (f32) param so
-                // `--precision int8` reaches the posting lists without the
-                // caller having to thread it into IvfParams by hand.
-                let mut params = *params;
-                if self.precision != Precision::F32 {
-                    params.precision = self.precision;
-                }
-                Box::new(IvfCandidates { params })
-            }
-        };
+        if self.metric != SimilarityMetric::Cosine
+            || (self.candidates.is_none() && self.precision == Precision::F32)
+        {
+            return similarity_matrix(source, target, self.metric);
+        }
         let mut s = source.clone();
         let mut t = target.clone();
         normalize_rows_l2(&mut s);
         normalize_rows_l2(&mut t);
-        let shortlist = source_impl.shortlist(&s, &t, self.shortlist_k);
+        let Some(params) = self.candidates else {
+            // Quantized dense cosine: pack the normalized target at the
+            // reduced precision and run the dequantize-fused GEMM. The
+            // packed operand (the O(n·d) term) shrinks by the element
+            // width; the O(n²) score matrix is unchanged.
+            let packed = PackedAny::pack(&t, self.precision);
+            return matmul_blocked_packed(&s, &packed)
+                .expect("normalized copies share the embedding dimension");
+        };
+        let params = IvfParams {
+            precision: self.precision,
+            ..params
+        };
+        let index = IvfIndex::build(&t, &params);
+        let shortlist = index.search(&s, self.shortlist_k, index.default_nprobe());
         telemetry::add(
             "pipeline.shortlist.candidates",
             shortlist.iter().map(|hits| hits.len() as u64).sum(),
         );
-        densify_shortlist(&shortlist, target.rows(), densify_fill(&shortlist))
+        densify(&shortlist, target.rows())
     }
 
     /// Runs the full pipeline on unified candidate embeddings
@@ -517,35 +497,67 @@ mod tests {
         // NoOp optimizer so disagreement measures candidate recall alone:
         // CSLS's neighbourhood statistics shift under densified fill and
         // would conflate rescoring drift with missed candidates.
-        let build = |strategy: CandidateStrategy| {
-            MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy))
-                .with_candidates(strategy, 16)
+        let ctx = MatchContext::default();
+        let dinf =
+            || MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy));
+        let exact = dinf().execute(&pair.source, &pair.target, &ctx);
+        let approx = dinf()
+            .with_candidates(IvfParams::default(), 16)
+            .execute(&pair.source, &pair.target, &ctx);
+        let agree = exact
+            .matching
+            .assignment()
+            .iter()
+            .zip(approx.matching.assignment())
+            .filter(|(a, b)| a == b)
+            .count();
+        assert!(
+            agree >= 135,
+            "ivf strategy agrees with exact on only {agree}/150 sources"
+        );
+    }
+
+    #[test]
+    fn full_width_ivf_with_a_nan_target_row_matches_exact() {
+        use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
+
+        let mut pair = clustered_embeddings(&EmbeddingSpec {
+            entities: 120,
+            dim: 16,
+            clusters: 8,
+            spread: 0.25,
+            noise: 0.05,
+            seed: 19,
+        });
+        pair.target.row_mut(7).fill(f32::NAN);
+        let ctx = MatchContext::default();
+        let dinf =
+            || MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy));
+        let exact = dinf().execute(&pair.source, &pair.target, &ctx);
+        let full_width = IvfParams {
+            nlist: 8,
+            nprobe: 8,
+            ..IvfParams::default()
         };
-        let exact = build(CandidateStrategy::Exact)
-            .execute(&pair.source, &pair.target, &MatchContext::default());
-        for strategy in [
-            CandidateStrategy::Lsh(LshBlocker {
-                bits: 8,
-                tables: 8,
-                seed: 41,
-            }),
-            CandidateStrategy::Ivf(IvfParams::default()),
-        ] {
-            let name = strategy.name();
-            let approx =
-                build(strategy).execute(&pair.source, &pair.target, &MatchContext::default());
-            let agree = exact
-                .matching
-                .assignment()
-                .iter()
-                .zip(approx.matching.assignment())
-                .filter(|(a, b)| a == b)
-                .count();
-            assert!(
-                agree >= 135,
-                "{name} strategy agrees with exact on only {agree}/150 sources"
-            );
-        }
+        let ivf = dinf()
+            .with_candidates(full_width, 4)
+            .execute(&pair.source, &pair.target, &ctx);
+        assert_eq!(ivf.matching, exact.matching);
+        assert!(!exact.matching.assignment().contains(&Some(7)));
+    }
+
+    #[test]
+    fn densify_round_trips_scores() {
+        let m = densify(&[vec![(1, 0.5)], vec![]], 3);
+        assert_eq!(m.shape(), (2, 3));
+        let fill = m.row(1)[0];
+        assert!(fill < 0.5);
+        assert_eq!(m.row(0), &[fill, 0.5, fill]);
+        assert_eq!(m.row(1), &[fill, fill, fill]);
+        // The fill also stays below negative scores, and a shortlist with
+        // no scores at all fills with -1.
+        assert_eq!(densify(&[vec![(0, -2.0)], vec![]], 2).row(1), &[-3.0, -3.0]);
+        assert_eq!(densify(&[vec![]], 2).row(0), &[-1.0, -1.0]);
     }
 
     #[test]
@@ -637,7 +649,7 @@ mod tests {
             Box::new(NoOp),
             Box::new(Greedy),
         )
-        .with_candidates(CandidateStrategy::Ivf(IvfParams::default()), 8);
+        .with_candidates(IvfParams::default(), 8);
         telemetry::set_enabled(true);
         let r = p.execute(&pair.source, &pair.target, &MatchContext::default());
         let trace = telemetry::snapshot();

@@ -1,4 +1,4 @@
-//! Oracle-backed recall tests for the approximate candidate sources.
+//! Oracle-backed recall tests for the IVF candidate index.
 //!
 //! The blocked-exact fused top-k pass (`linalg::fused_topk`) is the
 //! ground-truth oracle: every property generates a clustered embedding
@@ -11,11 +11,8 @@
 //!   `nprobe = 4`, >= 0.70 at `nprobe = 8`, and bitwise equality at
 //!   `nprobe = nlist`. Recall is also monotone in `nprobe` (probed-list
 //!   sets are nested by construction).
-//! * LSH at `bits = 8`: candidate-set recall@10 >= 0.5 at `tables = 6`,
-//!   and monotone in the table count (tables are prefixes of one seeded
-//!   hyperplane stream, so candidate sets are nested).
 
-use entmatcher_core::{IvfIndex, IvfParams, LshBlocker};
+use entmatcher_core::{IvfIndex, IvfParams};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
 use entmatcher_linalg::{fused_topk, Matrix};
 use entmatcher_support::prop::{check, Config, Gen};
@@ -51,25 +48,6 @@ fn recall(approx: &[Vec<(u32, f32)>], oracle: &[Vec<(u32, f32)>]) -> f64 {
         let got: std::collections::HashSet<u32> = a.iter().map(|&(i, _)| i).collect();
         total += e.len();
         hit += e.iter().filter(|&&(i, _)| got.contains(&i)).count();
-    }
-    if total == 0 {
-        1.0
-    } else {
-        hit as f64 / total as f64
-    }
-}
-
-/// Candidate-set recall: fraction of oracle top-k ids present in the raw
-/// (unscored) candidate lists.
-fn candidate_recall(blocks: &[Vec<u32>], oracle: &[Vec<(u32, f32)>]) -> f64 {
-    let mut hit = 0usize;
-    let mut total = 0usize;
-    for (cands, e) in blocks.iter().zip(oracle) {
-        total += e.len();
-        hit += e
-            .iter()
-            .filter(|&&(i, _)| cands.binary_search(&i).is_ok())
-            .count();
     }
     if total == 0 {
         1.0
@@ -139,68 +117,50 @@ fn ivf_recall_stays_above_per_nprobe_floors() {
 }
 
 #[test]
-fn lsh_candidate_recall_over_bits_tables_grid() {
-    check("lsh_candidate_recall_over_bits_tables_grid", cfg(), |g| {
-        let (queries, target) = gen_pair(g);
-        let exact = fused_topk(&queries, &target, K).unwrap();
-        let seed = g.gen_range(0..u64::MAX / 2);
-
-        // More tables never lose candidates (hyperplane streams are
-        // prefixes of one another for a fixed seed), so recall is
-        // monotone in the table count at fixed bits.
-        for bits in [8usize, 10] {
-            let mut prev = 0.0f64;
-            for tables in [1usize, 2, 4, 6] {
-                let blocker = LshBlocker { bits, tables, seed };
-                let r = candidate_recall(&blocker.block(&queries, &target), &exact);
-                prop_assert!(
-                    r + 1e-12 >= prev,
-                    "bits={bits}: recall {r:.3} at {tables} tables after {prev:.3}"
-                );
-                prev = r;
-            }
-        }
-
-        // Floor at the harness's reference setting.
-        let blocker = LshBlocker {
-            bits: 8,
-            tables: 6,
-            seed,
-        };
-        let r = candidate_recall(&blocker.block(&queries, &target), &exact);
-        prop_assert!(
-            r >= 0.5,
-            "candidate recall@{K} = {r:.3} below 0.5 at bits=8 tables=6"
-        );
-        Ok(())
+fn ivf_full_probe_width_skips_nan_and_infinite_rows_like_the_exact_scan() {
+    // One all-NaN and one all-+inf target row. Neither can be placed by
+    // k-means, so neither joins a list; the exact scan scores both NaN
+    // (+inf times a mixed-sign query sums to inf - inf), and NaN never
+    // enters a top-k, so full-width search still equals it bitwise.
+    let pair = clustered_embeddings(&EmbeddingSpec {
+        entities: 200,
+        dim: 16,
+        clusters: 8,
+        spread: 0.25,
+        noise: 0.05,
+        seed: 23,
     });
+    let (queries, mut target) = (pair.source, pair.target);
+    target.row_mut(3).fill(f32::NAN);
+    target.row_mut(11).fill(f32::INFINITY);
+    let index = IvfIndex::build(
+        &target,
+        &IvfParams {
+            nlist: 8,
+            ..IvfParams::default()
+        },
+    );
+    let approx = index.search(&queries, K, index.nlist());
+    let exact = fused_topk(&queries, &target, K).unwrap();
+    assert_eq!(approx, exact);
+    assert!(exact.iter().flatten().all(|&(j, _)| j != 3 && j != 11));
 }
 
 #[test]
-fn degenerate_inputs_do_not_panic_in_either_structure() {
+fn degenerate_inputs_do_not_panic_the_index() {
     let empty = Matrix::zeros(0, 8);
     let one = Matrix::from_fn(1, 8, |_, c| (c as f32 + 1.0) / 8.0);
-    let blocker = LshBlocker::default();
 
-    // LSH: n == 0 / n == 1 on each side, and a forced empty-bucket case
-    // (opposite vectors under 1-table blocking).
-    assert!(blocker.block(&empty, &one).is_empty());
-    assert_eq!(blocker.block(&one, &empty), vec![Vec::<u32>::new()]);
-    assert_eq!(blocker.block(&one, &one).len(), 1);
-    let plus = Matrix::from_vec(1, 2, vec![1.0, 1.0]).unwrap();
-    let minus = Matrix::from_vec(1, 2, vec![-1.0, -1.0]).unwrap();
-    let opposed = LshBlocker {
-        bits: 8,
-        tables: 1,
-        seed: 2,
-    };
-    assert_eq!(opposed.block(&plus, &minus), vec![Vec::<u32>::new()]);
-
-    // IVF: empty and single-row indexes, zero queries, k = 0.
+    // Empty and single-row indexes, zero queries, k = 0.
     let index = IvfIndex::build(&empty, &IvfParams::default());
     assert_eq!(index.search(&one, K, 4), vec![Vec::new()]);
     let index = IvfIndex::build(&one, &IvfParams::default());
     assert_eq!(index.search(&empty, K, 4), Vec::<Vec<(u32, f32)>>::new());
     assert_eq!(index.search(&one, 0, 4), vec![Vec::new()]);
     assert_eq!(index.search(&one, K, 4).len(), 1);
+
+    // An index whose only row is non-finite holds no candidates.
+    let nan = Matrix::from_fn(1, 8, |_, _| f32::NAN);
+    let index = IvfIndex::build(&nan, &IvfParams::default());
+    assert_eq!(index.search(&one, K, 4), vec![Vec::new()]);
 }

@@ -460,14 +460,11 @@ impl MemProfile {
     /// flamegraph tooling; weights are estimated bytes so flame width is
     /// proportional to allocation volume, not count.
     pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        for site in &self.sites {
-            out.push_str(&site.stack);
-            out.push(' ');
-            out.push_str(&site.bytes_est.to_string());
-            out.push('\n');
-        }
-        out
+        crate::telemetry::profile::folded(
+            self.sites
+                .iter()
+                .map(|site| (site.stack.as_str(), site.bytes_est)),
+        )
     }
 }
 

@@ -77,11 +77,7 @@ impl Profile {
     /// `stack;frames count` line per distinct stack, sorted, newline
     /// terminated. Feed to `flamegraph.pl` or paste into speedscope.
     pub fn to_folded(&self) -> String {
-        let mut out = String::new();
-        for (stack, count) in &self.stacks {
-            let _ = writeln!(out, "{stack} {count}");
-        }
-        out
+        folded(self.stacks())
     }
 
     fn record(&mut self, stacks: Vec<(u64, Vec<String>)>) {
@@ -91,6 +87,17 @@ impl Profile {
             self.samples += 1;
         }
     }
+}
+
+/// Writes `(stack, weight)` pairs as collapsed-stack lines, one
+/// `stack weight` line each in the order given. The one writer behind both
+/// [`Profile::to_folded`] and [`crate::alloc::MemProfile::to_folded`].
+pub(crate) fn folded<'a>(lines: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    let mut out = String::new();
+    for (stack, weight) in lines {
+        let _ = writeln!(out, "{stack} {weight}");
+    }
+    out
 }
 
 /// A running sampler; [`Self::stop`] joins it and returns the profile.

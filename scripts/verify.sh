@@ -104,6 +104,37 @@ echo "$RENDERED_PAD" | grep -q "pad" || {
 }
 echo "verify: telemetry smoke test passed"
 
+# Full-width IVF smoke, in both execution configs: probing every list
+# must reproduce the dense DInf pairs byte for byte through the binary,
+# and an unknown strategy such as the retired `lsh` must be a usage error
+# (exit code 2).
+for MODE in default degenerate; do
+    if [ "$MODE" = "degenerate" ]; then
+        MODE_ENV="ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"
+    else
+        MODE_ENV=""
+    fi
+    env $MODE_ENV "$ENTMATCHER" match --data "$SMOKE/data" \
+        --embeddings "$SMOKE/emb" --algorithm dinf --candidates exact \
+        --out "$SMOKE/pairs-exact-$MODE.tsv" >/dev/null
+    env $MODE_ENV "$ENTMATCHER" match --data "$SMOKE/data" \
+        --embeddings "$SMOKE/emb" --algorithm dinf --candidates ivf \
+        --nlist 4 --nprobe 4 --out "$SMOKE/pairs-ivf-$MODE.tsv" >/dev/null
+    cmp "$SMOKE/pairs-exact-$MODE.tsv" "$SMOKE/pairs-ivf-$MODE.tsv" || {
+        echo "verify: [$MODE] full-width IVF pairs differ from exact" >&2
+        exit 1
+    }
+    STATUS=0
+    env $MODE_ENV "$ENTMATCHER" match --data "$SMOKE/data" \
+        --embeddings "$SMOKE/emb" --algorithm dinf --candidates lsh \
+        --out "$SMOKE/pairs-lsh-$MODE.tsv" >/dev/null 2>&1 || STATUS=$?
+    [ "$STATUS" -eq 2 ] || {
+        echo "verify: [$MODE] --candidates lsh exited $STATUS, want usage code 2" >&2
+        exit 1
+    }
+    echo "verify: full-width IVF smoke passed ($MODE)"
+done
+
 # Quantized pipeline smoke: the same match at int8 with chunked snapshot
 # loading; the trace must carry the quant.pack span and the quantized
 # byte/chunk counters, and the predictions must stay non-empty.

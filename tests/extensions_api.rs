@@ -1,11 +1,10 @@
 //! Facade-level integration of the extension APIs: streaming matching,
-//! LSH blocking, multi-assignment matchers, ranking metrics, geometry
-//! diagnostics and bootstrap significance — all driven through the public
-//! `entmatcher` crate exactly as a downstream user would.
+//! IVF candidate generation, multi-assignment matchers, ranking metrics,
+//! geometry diagnostics and bootstrap significance — all driven through
+//! the public `entmatcher` crate exactly as a downstream user would.
 
-use entmatcher::core::blocking::LshBlocker;
 use entmatcher::core::streaming::{streaming_csls, streaming_greedy};
-use entmatcher::core::{similarity_matrix, ProbabilisticMatcher, ThresholdMatcher};
+use entmatcher::core::{similarity_matrix, IvfParams, ProbabilisticMatcher, ThresholdMatcher};
 use entmatcher::eval::geometry::geometry_report;
 use entmatcher::eval::ranking::ranking_report;
 use entmatcher::eval::significance::{bootstrap_f1, bootstrap_f1_difference};
@@ -39,24 +38,26 @@ fn streaming_kernels_agree_with_dense_pipelines() {
 }
 
 #[test]
-fn lsh_blocking_keeps_most_quality_with_fraction_of_comparisons() {
-    let (_, task, src, tgt) = prepared();
+fn full_width_ivf_candidates_reproduce_dense_dinf() {
+    let (_, _, src, tgt) = prepared();
+    let ctx = MatchContext::default();
     let dense = AlgorithmPreset::DInf
         .build()
-        .execute(&src, &tgt, &MatchContext::default())
+        .execute(&src, &tgt, &ctx)
         .matching;
-    let dense_f1 = evaluate_links(&task.matching_to_links(&dense), &task.gold).f1;
-
-    let blocker = LshBlocker { bits: 10, tables: 6, seed: 3 };
-    let blocks = blocker.block(&src, &tgt);
-    let ratio = LshBlocker::candidate_ratio(&blocks, tgt.rows());
-    assert!(ratio < 0.5, "blocking should prune comparisons: {ratio:.3}");
-    let blocked = blocker.blocked_greedy(&src, &tgt);
-    let blocked_f1 = evaluate_links(&task.matching_to_links(&blocked), &task.gold).f1;
-    assert!(
-        blocked_f1 > dense_f1 * 0.75,
-        "blocked F1 {blocked_f1:.3} fell too far below dense {dense_f1:.3}"
-    );
+    // Probing all 8 lists scans every target, so each source's best
+    // candidate is its dense argmax.
+    let full_width = IvfParams {
+        nlist: 8,
+        nprobe: 8,
+        ..IvfParams::default()
+    };
+    let ivf = AlgorithmPreset::DInf
+        .build()
+        .with_candidates(full_width, 4)
+        .execute(&src, &tgt, &ctx)
+        .matching;
+    assert_eq!(ivf, dense);
 }
 
 #[test]
