@@ -18,27 +18,33 @@
 //! tiles come straight out of the register-tiled GEMM micro-kernel and are
 //! reduced before the next tile is computed, so no strip of the score
 //! matrix is ever materialized. The driver reads its targets from a
-//! [`Targets`] source — resident rows, or a snapshot file read
+//! [`Targets`] source — resident rows, or a snapshot file read once,
 //! `chunk_rows` at a time — at any storage [`Precision`]
-//! ([`streaming_greedy_at`], [`streaming_csls_at`]), and keeps one packed
-//! operand alive at a time: the packed source for the target-side
-//! statistic, then the packed targets for the source-side statistic and
-//! the decision pass. The distance metrics keep the strip-at-a-time loop
-//! (their pairwise kernels are not products).
+//! ([`streaming_greedy_at`], [`streaming_csls_at`]), and packs them once:
+//! the packed targets are the only packed operand, and the source is
+//! never packed. Greedy is one scan (the argmax). CSLS is two: one scan
+//! of the source against the packed targets yields both neighbourhood
+//! statistics (each source row's top-k heap, and per-column top-k state
+//! for the targets), and the second is the corrected argmax. The distance
+//! metrics keep the strip-at-a-time loop (their pairwise kernels are not
+//! products).
 //!
 //! Both produce *bit-identical decisions* to their dense counterparts
 //! (asserted by tests): the fused tiles reuse the exact d-sequential
 //! accumulation of the dense kernel, the bounded heaps report means in the
-//! same canonical order as `top_k_mean`, and the CSLS correction is
-//! evaluated in the same operation order. Each row's scores depend only on
+//! same canonical order as `top_k_mean`, the CSLS correction is evaluated
+//! in the same operation order, and every running argmax follows
+//! `rank::argmax`'s first-non-NaN rule. Each row's scores depend only on
 //! that row and the packed operand, so a snapshot streamed in any chunk
 //! size decides exactly like the same targets held in memory.
 
 use crate::matching::Matching;
 use crate::similarity::{similarity_matrix, SimilarityMetric};
 use entmatcher_linalg::fused::{
-    fused_argmax_affine_packed, fused_topk_means_packed, TopKAccumulator,
+    fused_argmax_affine_packed, fused_topk_means_both_packed, TopKAccumulator,
 };
+use entmatcher_linalg::parallel::workers;
+use entmatcher_linalg::rank::argmax_step;
 use entmatcher_linalg::snapshot::SnapshotReader;
 use entmatcher_linalg::{normalize_rows_l2, Matrix, PackedAny, PackedBuilder, Precision};
 use entmatcher_support::telemetry;
@@ -66,53 +72,35 @@ pub enum Targets<'a> {
 }
 
 impl Targets<'_> {
-    /// Hands every target row to `visit(chunk, total_rows)`, L2-normalized
-    /// and in order: one chunk for resident targets, `chunk_rows`-row
-    /// chunks from a snapshot. Returns the number of chunks.
-    fn for_each_normalized(
-        &self,
-        mut visit: impl FnMut(&Matrix, usize) -> entmatcher_linalg::Result<()>,
-    ) -> entmatcher_linalg::Result<u64> {
-        match *self {
-            Targets::Resident(t) => {
-                let mut t = t.clone();
-                normalize_rows_l2(&mut t);
-                visit(&t, t.rows())?;
-                Ok(1)
-            }
-            Targets::Snapshot { path, chunk_rows } => {
-                let mut reader = SnapshotReader::open(path)?;
-                let mut chunks = 0;
-                while let Some(mut chunk) = reader.next_chunk(chunk_rows.max(1))? {
-                    normalize_rows_l2(&mut chunk);
-                    visit(&chunk, reader.rows())?;
-                    chunks += 1;
-                }
-                Ok(chunks)
-            }
-        }
-    }
-
-    /// The normalized targets packed at `precision` (width `d` when there
-    /// are no rows). A snapshot streams through the builder, one
-    /// `quant.stream.chunks` tick per chunk.
+    /// The L2-normalized targets packed at `precision` (width `d` when
+    /// there are no rows). A snapshot is read once, `chunk_rows` rows at a
+    /// time, through the builder, one `quant.stream.chunks` tick per chunk.
     fn pack_normalized(
         &self,
         precision: Precision,
         d: usize,
     ) -> entmatcher_linalg::Result<PackedAny> {
-        let mut builder = None;
-        let chunks = self.for_each_normalized(|chunk, rows| {
-            builder
-                .get_or_insert_with(|| PackedBuilder::with_capacity(precision, d, rows))
-                .append(chunk)
-        })?;
-        if let Targets::Snapshot { .. } = self {
-            telemetry::add("quant.stream.chunks", chunks);
+        match *self {
+            Targets::Resident(t) => {
+                let mut t = t.clone();
+                normalize_rows_l2(&mut t);
+                let mut builder = PackedBuilder::with_capacity(precision, d, t.rows());
+                builder.append(&t)?;
+                Ok(builder.finish())
+            }
+            Targets::Snapshot { path, chunk_rows } => {
+                let mut reader = SnapshotReader::open(path)?;
+                let mut builder = PackedBuilder::with_capacity(precision, d, reader.rows());
+                let mut chunks = 0;
+                while let Some(mut chunk) = reader.next_chunk(chunk_rows.max(1))? {
+                    normalize_rows_l2(&mut chunk);
+                    builder.append(&chunk)?;
+                    chunks += 1;
+                }
+                telemetry::add("quant.stream.chunks", chunks);
+                Ok(builder.finish())
+            }
         }
-        Ok(builder
-            .unwrap_or_else(|| PackedBuilder::new(precision, d))
-            .finish())
     }
 }
 
@@ -126,29 +114,16 @@ fn stream_cosine(
 ) -> entmatcher_linalg::Result<Matching> {
     let mut s = source.clone();
     normalize_rows_l2(&mut s);
-    let negate = |phi: Vec<f32>| -> Vec<f32> { phi.into_iter().map(|v| -v).collect() };
-    // phi_v: each target's mean of its k best sources, scored against the
-    // packed source, which is dropped before the targets are packed.
-    let neg_t = match csls_k {
-        Some(k) => {
-            let packed_s = PackedAny::pack(&s, precision);
-            let mut phi_t = Vec::new();
-            targets.for_each_normalized(|chunk, _| {
-                phi_t.extend(fused_topk_means_packed(chunk, &packed_s, k)?);
-                Ok(())
-            })?;
-            Some(negate(phi_t))
-        }
-        None => None,
-    };
     let packed_t = targets.pack_normalized(precision, s.cols())?;
-    let picks = match csls_k.zip(neg_t) {
-        Some((k, neg_t)) => {
+    let picks = match csls_k {
+        Some(k) => {
             telemetry::add("fused.dispatch.csls", 1);
-            // phi_u against the same packed targets the decision pass uses;
-            // (2s + (-phi_u)) + (-phi_v) is bitwise the dense
-            // (2s - phi_u) - phi_v.
-            let neg_s = negate(fused_topk_means_packed(&s, &packed_t, k)?);
+            // phi_u and phi_v come out of one scan against the packed
+            // targets the decision pass uses; (2s + (-phi_u)) + (-phi_v)
+            // is bitwise the dense (2s - phi_u) - phi_v.
+            let (phi_s, phi_t) = fused_topk_means_both_packed(&s, &packed_t, k)?;
+            let negate = |phi: Vec<f32>| -> Vec<f32> { phi.into_iter().map(|v| -v).collect() };
+            let (neg_s, neg_t) = (negate(phi_s), negate(phi_t));
             fused_argmax_affine_packed(&s, &packed_t, 2.0, Some(&neg_s), Some(&neg_t))?
         }
         None => {
@@ -175,7 +150,12 @@ pub fn streaming_greedy_at(
 
 /// CSLS + Greedy by cosine over `targets` at a storage `precision`,
 /// without the score matrix; see [`streaming_greedy_at`] for the
-/// precision, source and error contract. Panics if `k == 0`.
+/// precision, source and error contract. Both neighbourhood statistics
+/// and the decision are taken from one score matrix, the normalized
+/// source against the targets packed at `precision`, so at every
+/// precision the decisions equal the dense `Csls { k }` + `Greedy` over
+/// `matmul_blocked_packed(normalized source, PackedAny::pack(normalized
+/// targets, precision))` bit for bit. Panics if `k == 0`.
 pub fn streaming_csls_at(
     source: &Matrix,
     targets: Targets<'_>,
@@ -208,7 +188,7 @@ pub fn streaming_greedy(
     }
     let n_s = source.rows();
     let n_t = target.rows();
-    let mut best: Vec<(Option<u32>, f32)> = vec![(None, f32::NEG_INFINITY); n_s];
+    let mut best = vec![None; n_s];
     let mut start = 0usize;
     while start < n_t {
         let end = (start + block).min(n_t);
@@ -217,21 +197,25 @@ pub fn streaming_greedy(
         let scores = similarity_matrix(source, &strip, metric);
         for (i, slot) in best.iter_mut().enumerate() {
             for (local, &v) in scores.row(i).iter().enumerate() {
-                if v > slot.1 {
-                    *slot = (Some((start + local) as u32), v);
-                }
+                argmax_step(slot, start + local, v);
             }
         }
         start = end;
     }
-    Matching::new(best.into_iter().map(|(j, _)| j).collect())
+    Matching::new(picks(best))
+}
+
+/// The picked columns of per-row running argmaxes.
+fn picks(best: Vec<Option<(usize, f32)>>) -> Vec<Option<u32>> {
+    best.into_iter().map(|b| b.map(|(j, _)| j as u32)).collect()
 }
 
 /// CSLS + Greedy without materializing the score matrix.
 ///
-/// Cosine: the streaming driver — phi vectors stream out of per-row
-/// bounded heaps, and the corrected argmax streams out of the
-/// affine-argmax kernel. Distance metrics: two strip-at-a-time passes.
+/// Cosine: the streaming driver — both phi vectors stream out of one
+/// two-sided top-k scan against the packed targets, and the corrected
+/// argmax streams out of the affine-argmax kernel. Distance metrics: two
+/// strip-at-a-time passes.
 /// Decisions equal the dense `Csls{k}` + `Greedy` path bit for bit.
 pub fn streaming_csls(
     source: &Matrix,
@@ -278,7 +262,7 @@ pub fn streaming_csls(
     let phi_t: Vec<f32> = top_t.iter().map(TopKAccumulator::mean).collect();
 
     // Pass 2: argmax of the corrected scores.
-    let mut best: Vec<(Option<u32>, f32)> = vec![(None, f32::NEG_INFINITY); n_s];
+    let mut best = vec![None; n_s];
     let mut start = 0usize;
     while start < n_t {
         let end = (start + block).min(n_t);
@@ -288,25 +272,28 @@ pub fn streaming_csls(
         for (i, slot) in best.iter_mut().enumerate() {
             for (local, &v) in scores.row(i).iter().enumerate() {
                 let corrected = 2.0 * v - phi_s[i] - phi_t[start + local];
-                if corrected > slot.1 {
-                    *slot = (Some((start + local) as u32), corrected);
-                }
+                argmax_step(slot, start + local, corrected);
             }
         }
         start = end;
     }
-    Matching::new(best.into_iter().map(|(j, _)| j).collect())
+    Matching::new(picks(best))
 }
 
 /// Peak auxiliary bytes of the streaming kernels for an `n_s x n_t`
 /// instance — the number the scalability experiment compares against the
 /// dense pipelines' O(n^2). The fused cosine path's footprint (normalized
-/// copies + heaps + one score tile) is bounded by the same expression.
+/// copies + heaps + one score tile) is bounded by the same expression,
+/// which also counts the fused CSLS scan's per-participant column state:
+/// every pool participant scanning at once holds its own top-k values, a
+/// count and a floor for each target, `4 * (k + 2)` bytes per target, so
+/// that term grows with the pool width ([`workers`]).
 pub fn streaming_aux_bytes(n_s: usize, n_t: usize, k: usize, block: usize, dim: usize) -> usize {
     let strip = block.min(n_t) * n_s * 4; // one similarity strip / tile set
     let heaps = (n_s + n_t) * k * 4;
     let block_rows = block.min(n_t) * dim * 4;
-    strip + heaps + block_rows + n_s * 8
+    let column_state = workers() * n_t * (k + 2) * 4;
+    strip + heaps + block_rows + column_state + n_s * 8
 }
 
 #[cfg(test)]
@@ -427,6 +414,74 @@ mod tests {
                 .filter(|(a, b)| a == b)
                 .count();
             assert!(agree >= 145, "{} csls agrees on {agree}/150", precision.name());
+        }
+    }
+
+    #[test]
+    fn all_neg_inf_rows_pick_their_first_target_like_dense() {
+        let m = |rows: usize, v: &[f32]| Matrix::from_vec(rows, 2, v.to_vec()).unwrap();
+        // Every Euclidean and Manhattan score of source 0 overflows to
+        // -inf. In the second pair source 0's scores are finite but
+        // below -f32::MAX / 2, so with k = 1 its Manhattan CSLS values
+        // 2s - phi_u - phi_v all overflow to -inf without turning NaN.
+        let pairs = [
+            (m(2, &[3e38, -3e38, 0.1, 0.2]), m(3, &[-3e38, 3e38, 0.3, 0.1, 0.0, 0.5])),
+            (m(2, &[2e38, 0.0, 0.1, 0.2]), m(3, &[-1e38, 0.0, 0.3, 0.1, 0.0, 0.5])),
+        ];
+        let ctx = MatchContext::default();
+        for (p, (s, t)) in pairs.iter().enumerate() {
+            for metric in [SimilarityMetric::Euclidean, SimilarityMetric::Manhattan] {
+                let scores = similarity_matrix(s, t, metric);
+                let dense = Greedy.run(&scores, &ctx);
+                if p == 0 {
+                    assert_eq!(dense.assignment()[0], Some(0), "{}", metric.name());
+                }
+                assert_eq!(streaming_greedy(s, t, metric, 2), dense, "{}", metric.name());
+                for k in [1usize, 2] {
+                    let dense = Greedy.run(&Csls { k }.apply(scores.clone()), &ctx);
+                    let stream = streaming_csls(s, t, metric, k, 2);
+                    assert_eq!(stream, dense, "{} csls k={k}", metric.name());
+                }
+            }
+        }
+        // The CSLS case is not vacuous: the second pair's Manhattan CSLS
+        // row 0 is all -inf, so its pick (equal to dense above) is the
+        // first column.
+        let (s, t) = &pairs[1];
+        let corrected = Csls { k: 1 }.apply(similarity_matrix(s, t, SimilarityMetric::Manhattan));
+        assert!(corrected.row(0).iter().all(|&v| v == f32::NEG_INFINITY));
+        let stream = streaming_csls(s, t, SimilarityMetric::Manhattan, 1, 2);
+        assert_eq!(stream.assignment()[0], Some(0));
+    }
+
+    #[test]
+    fn quantized_streaming_csls_equals_dense_at_the_same_precision() {
+        use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
+        use entmatcher_linalg::matmul_blocked_packed;
+
+        let pair = clustered_embeddings(&EmbeddingSpec {
+            entities: 400,
+            dim: 32,
+            clusters: 12,
+            spread: 0.25,
+            noise: 0.3,
+            seed: 77,
+        });
+        let (mut s, mut t) = (pair.source.clone(), pair.target.clone());
+        normalize_rows_l2(&mut s);
+        normalize_rows_l2(&mut t);
+        let k = 10;
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let scores = matmul_blocked_packed(&s, &PackedAny::pack(&t, precision)).unwrap();
+            let dense = Greedy.run(&Csls { k }.apply(scores), &MatchContext::default());
+            let stream =
+                streaming_csls_at(&pair.source, Targets::Resident(&pair.target), k, precision)
+                    .unwrap();
+            let differ = (stream.assignment().iter())
+                .zip(dense.assignment())
+                .filter(|(a, b)| a != b)
+                .count();
+            assert_eq!(differ, 0, "{} differs on {differ}/400 sources", precision.name());
         }
     }
 

@@ -4,20 +4,29 @@
 //! it; at 100k entities the intermediate alone is tens of gigabytes. The
 //! kernels here fuse the two steps: a register-tiled score tile (see
 //! [`crate::gemm`]) is computed into a small scratch buffer, immediately
-//! reduced into per-row bounded state (a top-k heap or a running argmax),
-//! and discarded — peak memory drops from `O(m*n)` to
+//! reduced into bounded state (a top-k heap or a running argmax), and
+//! discarded — peak memory drops from `O(m*n)` to
 //! `O(m*k + tile)` while the scores themselves stay bit-identical to the
 //! dense kernel (both accumulate depth in the same sequential order).
 //!
 //! One scan, written once over a [`PackedAny`] right operand at any
-//! precision, feeds three reductions:
+//! precision, feeds four reductions:
 //! * [`fused_topk_packed`] — per-row top-k `(index, score)` lists;
 //! * [`fused_topk_means_packed`] — per-row mean of the top-k scores (the
 //!   CSLS neighbourhood statistic phi);
+//! * [`fused_topk_means_both_packed`] — both CSLS statistics from one
+//!   scan: the per-row means, and the per-column means that a scan of the
+//!   transposed problem would give;
 //! * [`fused_argmax_affine_packed`] — per-row argmax of
 //!   `scale * s(i,j) + row_off[i] + col_off[j]`, which covers streaming
 //!   Greedy (`scale = 1`, no offsets) and the CSLS decision pass
 //!   (`scale = 2`, offsets `-phi`).
+//!
+//! The reductions filter before they do exact work: a full top-k state
+//! compares eight scores at a time against its floor (the value a newcomer
+//! must reach), and the argmax compares eight corrected scores at a time
+//! against the running best, so only the rare lanes that can change the
+//! state take the scalar path.
 //!
 //! [`fused_topk`], [`fused_topk_means`] and [`fused_argmax_affine`] take
 //! the right operand as a matrix: they pack it at f32 and call the packed
@@ -31,8 +40,10 @@ use crate::gemm::{tile_into, PackedAny, NR};
 use crate::matrix::Matrix;
 use crate::parallel::{par_row_chunks_mut_grained, Grain};
 use crate::quant::Precision;
+use crate::rank::argmax_step;
 use crate::Result;
 use entmatcher_support::telemetry;
+use std::sync::{Mutex, PoisonError};
 
 /// Rows of `A` scored per tile pass (bounds the scratch buffer height).
 const TILE_ROWS: usize = 16;
@@ -40,6 +51,65 @@ const TILE_ROWS: usize = 16;
 /// Cap on tile width in packed strips, so shallow depths cannot inflate
 /// the scratch buffer past ~128 KiB.
 const MAX_TILE_STRIPS: usize = 256;
+
+/// Scores compared per filter step (one 256-bit vector of f32).
+const LANES: usize = 8;
+
+/// Whether `hit(lane, value)` holds for any of one filter step's lanes. A
+/// fold rather than `any`: with no early exit LLVM emits one vector
+/// compare and a mask test.
+#[inline(always)]
+fn any_lane(step: &[f32], hit: impl Fn(usize, f32) -> bool) -> bool {
+    let step: &[f32; LANES] = step.try_into().expect("one filter step");
+    step.iter()
+        .enumerate()
+        .fold(false, |any, (l, &v)| any | hit(l, v))
+}
+
+/// Moves entry `i` of a min-heap ordered by `weaker` (the root is the
+/// weakest entry) up to its place.
+fn sift_up<T: Copy>(heap: &mut [T], mut i: usize, weaker: impl Fn(T, T) -> bool) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !weaker(heap[i], heap[parent]) {
+            return;
+        }
+        heap.swap(i, parent);
+        i = parent;
+    }
+}
+
+/// Moves the root of a min-heap ordered by `weaker` down to its place.
+fn sift_down<T: Copy>(heap: &mut [T], weaker: impl Fn(T, T) -> bool) {
+    let mut i = 0;
+    loop {
+        let (l, r) = (2 * i + 1, 2 * i + 2);
+        let mut weakest = i;
+        if l < heap.len() && weaker(heap[l], heap[weakest]) {
+            weakest = l;
+        }
+        if r < heap.len() && weaker(heap[r], heap[weakest]) {
+            weakest = r;
+        }
+        if weakest == i {
+            return;
+        }
+        heap.swap(i, weakest);
+        i = weakest;
+    }
+}
+
+/// Mean of the `k` largest of the NaN-free `vals`, summed in descending
+/// order: the canonical order that makes the mean a function of the value
+/// multiset alone. `0.0` when empty. Reorders `vals`.
+fn top_mean(vals: &mut [f32], k: usize) -> f32 {
+    vals.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    let top = &vals[..k.min(vals.len())];
+    if top.is_empty() {
+        return 0.0;
+    }
+    top.iter().sum::<f32>() / top.len() as f32
+}
 
 /// A bounded top-k accumulator over `(index, value)` pairs.
 ///
@@ -86,40 +156,40 @@ impl TopKAccumulator {
         }
         if self.heap.len() < self.k {
             self.heap.push((value, index));
-            self.sift_up(self.heap.len() - 1);
+            let last = self.heap.len() - 1;
+            sift_up(&mut self.heap, last, weaker);
         } else if weaker(self.heap[0], (value, index)) {
             self.heap[0] = (value, index);
-            self.sift_down(0);
+            sift_down(&mut self.heap, weaker);
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if weaker(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+    /// Offers `(base + j, values[j])` for every `j`, keeping exactly what
+    /// one [`push`](Self::push) per value keeps. Once the accumulator is
+    /// full, values are compared eight at a time against its floor (the
+    /// root's value) and only lanes `>=` the floor take the exact path, so
+    /// ties still get the index check and NaN never gets in.
+    pub fn push_run(&mut self, base: u32, values: &[f32]) {
+        if self.k == 0 {
+            return;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut weakest = i;
-            if l < self.heap.len() && weaker(self.heap[l], self.heap[weakest]) {
-                weakest = l;
+        let mut j = 0;
+        while self.heap.len() < self.k && j < values.len() {
+            self.push(base + j as u32, values[j]);
+            j += 1;
+        }
+        let mut steps = values[j..].chunks_exact(LANES);
+        for step in &mut steps {
+            let floor = self.heap[0].0;
+            if any_lane(step, |_, v| v >= floor) {
+                for (l, &v) in step.iter().enumerate() {
+                    self.push(base + (j + l) as u32, v);
+                }
             }
-            if r < self.heap.len() && weaker(self.heap[r], self.heap[weakest]) {
-                weakest = r;
-            }
-            if weakest == i {
-                return;
-            }
-            self.heap.swap(i, weakest);
-            i = weakest;
+            j += LANES;
+        }
+        for (l, &v) in steps.remainder().iter().enumerate() {
+            self.push(base + (j + l) as u32, v);
         }
     }
 
@@ -152,12 +222,82 @@ impl TopKAccumulator {
     /// report the same mean. `0.0` when empty, matching
     /// [`crate::rank::top_k_mean`] on empty input.
     pub fn mean(&self) -> f32 {
-        if self.heap.is_empty() {
-            return 0.0;
-        }
         let mut vals: Vec<f32> = self.heap.iter().map(|&(v, _)| v).collect();
-        vals.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        vals.iter().sum::<f32>() / vals.len() as f32
+        top_mean(&mut vals, self.k)
+    }
+}
+
+/// Value-only top-`k` state for every column, held by one scan
+/// participant, stored flat and allocated once: column `j`'s min-heap is
+/// `vals[j*k..j*k + len[j]]`, and `floor[j]` is the value a new score must
+/// reach to be looked at (`-inf` until the heap is full, then its root).
+/// A mean depends only on the value multiset, so no indices are kept.
+#[derive(Default)]
+struct ColumnTopK {
+    k: usize,
+    vals: Vec<f32>,
+    len: Vec<u32>,
+    floor: Vec<f32>,
+}
+
+impl ColumnTopK {
+    fn new(n: usize, k: usize) -> Self {
+        ColumnTopK {
+            k,
+            vals: vec![0.0; n * k],
+            len: vec![0; n],
+            floor: vec![f32::NEG_INFINITY; n],
+        }
+    }
+
+    /// Offers one row's scores for columns `col0..col0 + scores.len()`.
+    fn push_row(&mut self, col0: usize, scores: &[f32]) {
+        if self.k == 0 {
+            return;
+        }
+        let mut col = col0;
+        let mut steps = scores.chunks_exact(LANES);
+        for step in &mut steps {
+            let floor = &self.floor[col..col + LANES];
+            if any_lane(step, |l, v| v >= floor[l]) {
+                for (l, &v) in step.iter().enumerate() {
+                    self.push(col + l, v);
+                }
+            }
+            col += LANES;
+        }
+        for (l, &v) in steps.remainder().iter().enumerate() {
+            self.push(col + l, v);
+        }
+    }
+
+    /// Offers one score to column `col`. A score equal to a full heap's
+    /// root leaves the multiset unchanged, so only a greater one replaces
+    /// it; NaN fails the floor test.
+    #[inline]
+    fn push(&mut self, col: usize, v: f32) {
+        if v.is_nan() || v < self.floor[col] {
+            return;
+        }
+        let k = self.k;
+        let heap = &mut self.vals[col * k..(col + 1) * k];
+        let len = self.len[col] as usize;
+        if len < k {
+            heap[len] = v;
+            sift_up(&mut heap[..=len], len, |a, b| a < b);
+            self.len[col] += 1;
+            if len + 1 == k {
+                self.floor[col] = heap[0];
+            }
+        } else if v > heap[0] {
+            heap[0] = v;
+            sift_down(heap, |a, b| a < b);
+            self.floor[col] = heap[0];
+        }
+    }
+
+    fn values(&self, col: usize) -> &[f32] {
+        &self.vals[col * self.k..col * self.k + self.len[col] as usize]
     }
 }
 
@@ -172,17 +312,20 @@ fn check_dims(op: &'static str, a: &Matrix, packed: &PackedAny) -> Result<()> {
     Ok(())
 }
 
-/// The one fused scan: streams score tiles of `A * P^T` and hands each
-/// one to `visit`: `visit(state, global_row, col0, scores)` is called once
-/// per (tile pass, row) with the scored slice for columns
-/// `col0..col0+scores.len()`. Columns arrive in ascending order for every
-/// row. Quantized payloads dequantize inside the register block, so the
-/// scratch tile is the only f32 copy of any score that ever exists.
-fn fused_scan<S: Send + Default + Clone>(
-    a: &Matrix,
-    packed: &PackedAny,
-    visit: impl Fn(&mut S, usize, usize, &[f32]) + Sync,
-) -> Vec<S> {
+/// The one fused scan: streams score tiles of `A * P^T` through one
+/// visitor per pool task. `task_visitor()` is called when a task starts;
+/// the visitor `visit(state, global_row, col0, scores)` it returns is
+/// called once per (tile pass, row) with the scored slice for columns
+/// `col0..col0+scores.len()`, and is dropped when the task ends (which is
+/// where per-task state goes back to its owner). Columns arrive in
+/// ascending order for every row. Quantized payloads dequantize inside the
+/// register block, so the scratch tile is the only f32 copy of any score
+/// that ever exists.
+fn fused_scan<S, V>(a: &Matrix, packed: &PackedAny, task_visitor: impl Fn() -> V + Sync) -> Vec<S>
+where
+    S: Send + Default + Clone,
+    V: FnMut(&mut S, usize, usize, &[f32]),
+{
     let m = a.rows();
     let mut state = vec![S::default(); m];
     if m == 0 || packed.n() == 0 {
@@ -193,13 +336,13 @@ fn fused_scan<S: Send + Default + Clone>(
     let strips = packed.strips();
     let pass_strips = packed.panel_strips().min(MAX_TILE_STRIPS);
     let tiles = std::sync::atomic::AtomicU64::new(0);
-    let visit = &visit;
     // One state item scans the entire packed operand (n * d work); never
     // split tasks below the streaming tile height.
     let grain =
         Grain::for_item_cost(packed.n().saturating_mul(packed.d().max(1))).at_least(TILE_ROWS);
     par_row_chunks_mut_grained(&mut state, 1, grain, |start_row, states| {
         let rows = states.len();
+        let mut visit = task_visitor();
         let mut scratch = vec![0.0f32; TILE_ROWS * pass_strips * NR];
         let mut local_tiles = 0u64;
         let mut s0 = 0usize;
@@ -229,6 +372,17 @@ fn fused_scan<S: Send + Default + Clone>(
     state
 }
 
+/// Adds one row's scores to its top-`k` accumulator, creating it on the
+/// row's first scores (rows that see none stay `None`).
+fn push_row_topk(acc: &mut Option<TopKAccumulator>, k: usize, col0: usize, scores: &[f32]) {
+    acc.get_or_insert_with(|| TopKAccumulator::new(k))
+        .push_run(col0 as u32, scores);
+}
+
+fn row_mean(acc: &Option<TopKAccumulator>) -> f32 {
+    acc.as_ref().map_or(0.0, TopKAccumulator::mean)
+}
+
 /// Per-row top-`k` accumulators of `A * P^T` (`None` for rows that saw no
 /// score), shared by the top-k and top-k-mean reductions.
 fn topk_scan(
@@ -238,16 +392,11 @@ fn topk_scan(
     k: usize,
 ) -> Result<Vec<Option<TopKAccumulator>>> {
     check_dims(op, a, packed)?;
-    Ok(fused_scan(
-        a,
-        packed,
-        |st: &mut Option<TopKAccumulator>, _row, col0, scores| {
-            let acc = st.get_or_insert_with(|| TopKAccumulator::new(k));
-            for (j, &v) in scores.iter().enumerate() {
-                acc.push((col0 + j) as u32, v);
-            }
-        },
-    ))
+    Ok(fused_scan(a, packed, || {
+        move |acc: &mut Option<TopKAccumulator>, _row, col0, scores: &[f32]| {
+            push_row_topk(acc, k, col0, scores)
+        }
+    }))
 }
 
 /// For each row of `a`, the top-`k` scoring rows of the packed operand as
@@ -273,17 +422,96 @@ pub fn fused_topk_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec
 pub fn fused_topk_means_packed(a: &Matrix, packed: &PackedAny, k: usize) -> Result<Vec<f32>> {
     Ok(topk_scan("fused_topk_means", a, packed, k)?
         .iter()
-        .map(|acc| acc.as_ref().map_or(0.0, TopKAccumulator::mean))
+        .map(row_mean)
         .collect())
+}
+
+/// A column state on loan to one pool task: taken from the free list, or
+/// allocated when the list is empty, and put back when the task's visitor
+/// is dropped. At most as many exist as tasks run at once.
+struct Loan<'a> {
+    cols: ColumnTopK,
+    free: &'a Mutex<Vec<ColumnTopK>>,
+}
+
+impl<'a> Loan<'a> {
+    fn take(free: &'a Mutex<Vec<ColumnTopK>>, n: usize, k: usize) -> Self {
+        let spare = free.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        Loan {
+            cols: spare.unwrap_or_else(|| ColumnTopK::new(n, k)),
+            free,
+        }
+    }
+}
+
+impl Drop for Loan<'_> {
+    fn drop(&mut self) {
+        let cols = std::mem::take(&mut self.cols);
+        self.free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(cols);
+    }
+}
+
+/// Both CSLS neighbourhood statistics of `A * P^T` from one scan, as
+/// `(row_means, col_means)`: each row's mean of its top-`k` scores, equal
+/// to [`fused_topk_means_packed`]`(a, packed, k)`, and each column's (each
+/// packed row's) mean of its top-`k` scores over the rows of `a`, equal
+/// to [`crate::rank::col_top_k_means`] of the dense score matrix. At f32
+/// the column means are also bitwise those of
+/// `fused_topk_means_packed(b, &pack(a), k)`, since a dot product's
+/// scores do not depend on which side is packed.
+///
+/// Each pool task borrows one flat column state (at most `4 * (k + 2)`
+/// bytes per column) from a free list and returns it when it ends, so at most
+/// pool-width states exist; they are merged after the scan. A column's
+/// top-`k` *value multiset* does not depend on which task saw which rows
+/// or in what order, and the mean sums it in canonical order, so the
+/// merged means are the same bits at every pool width.
+pub fn fused_topk_means_both_packed(
+    a: &Matrix,
+    packed: &PackedAny,
+    k: usize,
+) -> Result<(Vec<f32>, Vec<f32>)> {
+    check_dims("fused_topk_means_both", a, packed)?;
+    let n = packed.n();
+    // A column sees at most `a.rows()` scores, so no more slots are needed.
+    let slots = k.min(a.rows());
+    let free = Mutex::new(Vec::new());
+    let rows = fused_scan(a, packed, || {
+        let mut loan = Loan::take(&free, n, slots);
+        move |acc: &mut Option<TopKAccumulator>, _row, col0, scores: &[f32]| {
+            push_row_topk(acc, k, col0, scores);
+            loan.cols.push_row(col0, scores);
+        }
+    });
+    let sets = free.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut col_means = vec![0.0f32; n];
+    let grain = Grain::for_item_cost(sets.len() * k);
+    par_row_chunks_mut_grained(&mut col_means, 1, grain, |col0, means| {
+        let mut vals = Vec::with_capacity(sets.len() * k);
+        for (col, mean) in (col0..).zip(means.iter_mut()) {
+            vals.clear();
+            for set in &sets {
+                vals.extend_from_slice(set.values(col));
+            }
+            *mean = top_mean(&mut vals, k);
+        }
+    });
+    Ok((rows.iter().map(row_mean).collect(), col_means))
 }
 
 /// For each row `i` of `a`, the argmax over `j` of
 /// `(scale * s(i, j) + row_off[i]) + col_off[j]` against the packed
 /// operand (offsets default to zero), streamed without the dense matrix.
 /// First occurrence wins ties and NaN never wins, matching
-/// [`crate::rank::argmax`]. The evaluation order is fixed so the corrected
-/// values are bit-identical to the dense CSLS expression
-/// `(2s - phi_u) - phi_v` when called with negated phis.
+/// [`crate::rank::argmax`] (so a row whose every value is `-inf` picks its
+/// first column). The evaluation order is fixed, with no fused
+/// multiply-add, so the corrected values are bit-identical to the dense
+/// CSLS expression `(2s - phi_u) - phi_v` when called with negated phis.
+/// They are computed eight at a time, and the lanes are walked one by one
+/// only when one beats the running best or nothing has been taken yet.
 pub fn fused_argmax_affine_packed(
     a: &Matrix,
     packed: &PackedAny,
@@ -298,27 +526,40 @@ pub fn fused_argmax_affine_packed(
     if let Some(off) = col_off {
         assert_eq!(off.len(), packed.n(), "col offset length mismatch");
     }
-    #[derive(Clone)]
-    struct Best(Option<u32>, f32);
-    impl Default for Best {
-        fn default() -> Self {
-            Best(None, f32::NEG_INFINITY)
-        }
-    }
-    let state = fused_scan::<Best>(a, packed, |best, row, col0, scores| {
-        let ro = row_off.map_or(0.0, |off| off[row]);
-        for (j, &s) in scores.iter().enumerate() {
-            let col = col0 + j;
-            let mut v = scale * s + ro;
-            if let Some(off) = col_off {
-                v += off[col];
+    let state = fused_scan(a, packed, || {
+        move |best: &mut Option<(usize, f32)>, row, col0, scores: &[f32]| {
+            let ro = row_off.map_or(0.0, |off| off[row]);
+            let co = col_off.map(|off| &off[col0..col0 + scores.len()]);
+            let mut j = 0;
+            let mut steps = scores.chunks_exact(LANES);
+            for step in &mut steps {
+                let mut lanes = [0.0f32; LANES];
+                for (v, &s) in lanes.iter_mut().zip(step) {
+                    *v = scale * s + ro;
+                }
+                if let Some(co) = co {
+                    for (v, &c) in lanes.iter_mut().zip(&co[j..j + LANES]) {
+                        *v += c;
+                    }
+                }
+                let walk = match *best {
+                    Some((_, bv)) => any_lane(&lanes, |_, v| v > bv),
+                    None => true,
+                };
+                if walk {
+                    for (l, &v) in lanes.iter().enumerate() {
+                        argmax_step(best, col0 + j + l, v);
+                    }
+                }
+                j += LANES;
             }
-            if v > best.1 {
-                *best = Best(Some(col as u32), v);
+            for (l, &s) in steps.remainder().iter().enumerate() {
+                let v = scale * s + ro;
+                argmax_step(best, col0 + j + l, co.map_or(v, |co| v + co[j + l]));
             }
         }
     });
-    Ok(state.into_iter().map(|b| b.0).collect())
+    Ok(state.into_iter().map(|b| b.map(|(j, _)| j as u32)).collect())
 }
 
 /// [`fused_topk_packed`] against `b` packed at f32.
@@ -469,6 +710,23 @@ mod tests {
                 .collect();
             assert_eq!(fused[i].map(|j| j as usize), argmax(&corrected), "row {i}");
         }
+    }
+
+    #[test]
+    fn fused_argmax_takes_the_first_column_of_an_all_neg_inf_row() {
+        let a = Matrix::from_vec(1, 1, vec![1.0]).unwrap();
+        let b = Matrix::from_vec(2, 1, vec![1.0, 2.0]).unwrap();
+        let inf = f32::NEG_INFINITY;
+        assert_eq!(argmax(&[inf, inf]), Some(0));
+        let got = fused_argmax_affine(&a, &b, 1.0, None, Some(&[inf, inf])).unwrap();
+        assert_eq!(got, vec![Some(0)]);
+        // Past the first filter step too: 20 columns, a NaN lead-in, and
+        // the first finite-or-(-inf) value must win.
+        let b = seq_matrix(20, 1, 3);
+        let mut col_off = vec![inf; 20];
+        col_off[..9].fill(f32::NAN);
+        let got = fused_argmax_affine(&a, &b, 1.0, None, Some(&col_off)).unwrap();
+        assert_eq!(got, vec![Some(9)]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod stats;
 pub use error::LinalgError;
 pub use fused::{
     fused_argmax_affine, fused_argmax_affine_packed, fused_topk, fused_topk_means,
-    fused_topk_means_packed, fused_topk_packed, TopKAccumulator,
+    fused_topk_means_both_packed, fused_topk_means_packed, fused_topk_packed, TopKAccumulator,
 };
 pub use gemm::{
     matmul_blocked, matmul_blocked_packed, matmul_blocked_packed_with, matmul_blocked_with,

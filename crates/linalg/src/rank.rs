@@ -7,17 +7,24 @@
 /// Index of the maximum value in `row` (first occurrence wins). Returns
 /// `None` for an empty row. NaN values never win.
 pub fn argmax(row: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
+    let mut best = None;
     for (i, &v) in row.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
+        argmax_step(&mut best, i, v);
     }
     best.map(|(i, _)| i)
+}
+
+/// Offers `(i, v)` to a running [`argmax`]: the first non-NaN value is
+/// taken (even `-inf`), then only a strictly greater one replaces it.
+/// Streaming reductions that see a row in pieces use this so they decide
+/// exactly like `argmax` over the whole row.
+#[inline]
+pub fn argmax_step(best: &mut Option<(usize, f32)>, i: usize, v: f32) {
+    match *best {
+        _ if v.is_nan() => {}
+        Some((_, bv)) if bv >= v => {}
+        _ => *best = Some((i, v)),
+    }
 }
 
 /// Returns the indices of the `k` largest values in `row`, in descending

@@ -5,9 +5,15 @@
 //! produced failures (recorded in the retired `.proptest-regressions` seed
 //! file) as explicit deterministic cases.
 
+use entmatcher_linalg::fused::{
+    fused_argmax_affine, fused_topk_means_both_packed, fused_topk_means_packed, TopKAccumulator,
+};
 use entmatcher_linalg::ops::{col_sums, row_sums};
-use entmatcher_linalg::rank::{argsort_desc, rank_desc, top_k_desc, top_k_mean};
-use entmatcher_linalg::{dot, matmul_transposed, normalize_rows_l2, snapshot, Matrix};
+use entmatcher_linalg::rank::{argmax, argsort_desc, rank_desc, top_k_desc, top_k_mean};
+use entmatcher_linalg::{
+    dot, matmul_blocked_packed, matmul_transposed, normalize_rows_l2, snapshot, Matrix, PackedAny,
+    Precision,
+};
 use entmatcher_support::prop::{check, Config, Failed, Gen};
 use entmatcher_support::rng::Rng;
 use entmatcher_support::{prop_assert, prop_assert_eq};
@@ -205,6 +211,128 @@ fn hcat_then_select_recovers_left_block() {
         let a = gen_matrix(g, 6, 5);
         let b = gen_matrix(g, 6, 4);
         check_hcat_recovers_left_block(&a, &b)
+    });
+}
+
+/// A value from a palette heavy in NaN, infinities and repeats, so runs
+/// exercise the filters' tie, NaN and overflow edges.
+fn gen_edgy(g: &mut Gen) -> f32 {
+    match g.gen_range(0..8u32) {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        7 => g.gen_range(-2.0f32..2.0),
+        _ => *g.choose(&[-1.0f32, 0.0, 0.5, 1.0]),
+    }
+}
+
+fn sorted_bits(acc: TopKAccumulator) -> Vec<(u32, u32)> {
+    (acc.into_sorted_desc().into_iter())
+        .map(|(i, v)| (i, v.to_bits()))
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn push_run_keeps_exactly_what_push_keeps() {
+    check("push_run_keeps_exactly_what_push_keeps", cfg(), |g| {
+        let len = g.len_in(0, 45);
+        let run: Vec<f32> = (0..len).map(|_| gen_edgy(g)).collect();
+        // Values pushed one by one first put the run's start anywhere
+        // relative to the fill point; their indices lie above, inside or
+        // below the run's, so ties meet the index rule from both sides.
+        let before: Vec<f32> = (0..g.len_in(0, 12)).map(|_| gen_edgy(g)).collect();
+        let before_base = *g.choose(&[0u32, 20, 100]);
+        let base = g.gen_range(0..50u32);
+        for k in [0, 1, 2, len / 2, len.saturating_sub(1), len, len + 3] {
+            let mut one = TopKAccumulator::new(k);
+            for (i, &v) in before.iter().enumerate() {
+                one.push(before_base + i as u32, v);
+            }
+            let mut batched = one.clone();
+            for (j, &v) in run.iter().enumerate() {
+                one.push(base + j as u32, v);
+            }
+            batched.push_run(base, &run);
+            prop_assert_eq!(batched.mean().to_bits(), one.mean().to_bits());
+            prop_assert_eq!(sorted_bits(batched), sorted_bits(one));
+        }
+        Ok(())
+    });
+}
+
+/// An `rows x cols` matrix of finite values in which about one row in
+/// four has an entry set to NaN (a NaN score row) or to an infinity
+/// (scores of +-inf, or NaN where infinities cancel).
+fn gen_scan_operand(g: &mut Gen, rows: usize, cols: usize) -> Matrix {
+    let mut m = gen_matrix_exact(g, rows, cols);
+    for r in 0..rows {
+        if cols > 0 && g.gen_range(0..4u32) == 0 {
+            let c = g.gen_range(0..cols);
+            let v = *g.choose(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+            m.set(r, c, v);
+        }
+    }
+    m
+}
+
+#[test]
+fn two_sided_topk_means_equal_both_one_sided_scans() {
+    check("two_sided_topk_means_equal_both_one_sided_scans", cfg(), |g| {
+        // Mostly narrow operands; one case in four is deep enough that
+        // the packed operand spans several cache panels with a ragged
+        // tail, with rows for several pool tasks (so several column
+        // states to merge when the pool is wider than one).
+        let (m, n, d) = if g.gen_range(0..4u32) == 0 {
+            (17 + g.len_in(0, 47), 129 + g.len_in(0, 131), 512 + g.len_in(0, 128))
+        } else {
+            (g.len_in(0, 48), g.len_in(0, 30), g.len_in(0, 9))
+        };
+        let a = gen_scan_operand(g, m, d);
+        let b = gen_scan_operand(g, n, d);
+        let k = *g.choose(&[0, 1, 3, 10, m, n, n + 3, m + 3]);
+        let (rows, cols) =
+            fused_topk_means_both_packed(&a, &PackedAny::pack(&b, Precision::F32), k).unwrap();
+        let want_rows = fused_topk_means_packed(&a, &PackedAny::pack(&b, Precision::F32), k);
+        let want_cols = fused_topk_means_packed(&b, &PackedAny::pack(&a, Precision::F32), k);
+        prop_assert_eq!(bits(&rows), bits(&want_rows.unwrap()));
+        prop_assert_eq!(bits(&cols), bits(&want_cols.unwrap()));
+        Ok(())
+    });
+}
+
+#[test]
+fn filtered_argmax_equals_argmax_of_the_corrected_row() {
+    check("filtered_argmax_equals_argmax_of_the_corrected_row", cfg(), |g| {
+        let d = g.len_in(1, 4);
+        let (m, n) = (g.len_in(1, 6), g.len_in(1, 40));
+        // Half-integer entries make exact score ties common.
+        let mut small = |rows: usize| {
+            Matrix::from_fn(rows, d, |_, _| g.gen_range(-2i32..=2) as f32 * 0.5)
+        };
+        let (a, b) = (small(m), small(n));
+        let scale = *g.choose(&[1.0f32, 2.0, -1.0, 0.5]);
+        let row_off: Option<Vec<f32>> =
+            g.gen_bool(0.5).then(|| (0..m).map(|_| gen_edgy(g)).collect());
+        let col_off: Option<Vec<f32>> =
+            g.gen_bool(0.7).then(|| (0..n).map(|_| gen_edgy(g)).collect());
+        let got = fused_argmax_affine(&a, &b, scale, row_off.as_deref(), col_off.as_deref())
+            .unwrap();
+        let dense = matmul_blocked_packed(&a, &PackedAny::pack(&b, Precision::F32)).unwrap();
+        for i in 0..m {
+            let ro = row_off.as_ref().map_or(0.0, |off| off[i]);
+            let corrected: Vec<f32> = (0..n)
+                .map(|j| {
+                    let v = scale * dense.get(i, j) + ro;
+                    col_off.as_ref().map_or(v, |off| v + off[j])
+                })
+                .collect();
+            prop_assert_eq!(got[i].map(|j| j as usize), argmax(&corrected));
+        }
+        Ok(())
     });
 }
 

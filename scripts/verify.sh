@@ -70,6 +70,16 @@ for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test quant_proptests
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib quantized
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib snapshot_streaming
+
+    # Fused-reduction group: the two-sided top-k scan merges one column
+    # state per pool participant, and its means must be the same bits at
+    # pool width 1 with the scalar kernel and at full width with AVX2; the
+    # floor-filtered top-k and argmax must keep exactly what the scalar
+    # reductions keep, and streaming decisions must equal dense ones.
+    echo "verify: fused-reduction test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib fused
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test proptests
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib streaming
 done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
