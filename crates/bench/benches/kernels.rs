@@ -10,12 +10,16 @@
 //! the in-repo simd-vs-scalar comparison. The `blocked_f16` /
 //! `blocked_int8` rows run the dequantize-fused kernels (pack at the
 //! reduced precision + multiply, matching `blocked`'s repack-per-call
-//! semantics) — the quantized-storage throughput comparison. The `par_pool`/`par_spawn` rows
+//! semantics) — the quantized-storage throughput comparison. The
+//! `fused_topk_row` / `fused_topk_row_f16` / `fused_topk_row_int8` rows
+//! answer the same `n x n` top-k one query row per call against a target
+//! packed once at that precision — the single-entity lookup that serving
+//! and each IVF list probe run, on the one-row register block. The `par_pool`/`par_spawn` rows
 //! run the same many-small-calls row sweep through the persistent
 //! work-stealing pool and through per-call `thread::scope` spawning — the
 //! dispatch-overhead comparison that motivated the pool. The JSON is
 //! self-checked after writing: the run fails if it does not parse back or
-//! if the naive / blocked / blocked_scalar entries are missing.
+//! if any kernel's entry is missing.
 //!
 //! Modes:
 //! * default — 2k and 10k entities, dims 64/128/300 (dense kernels at 2k,
@@ -33,8 +37,8 @@
 
 use entmatcher_linalg::parallel::{self, par_row_chunks_mut};
 use entmatcher_linalg::{
-    fused_topk, matmul_blocked, matmul_blocked_packed, matmul_blocked_with, matmul_naive, Matrix,
-    PackedAny, Precision, SimdLevel,
+    fused_topk, fused_topk_packed, matmul_blocked, matmul_blocked_packed, matmul_blocked_with,
+    matmul_naive, Matrix, PackedAny, Precision, SimdLevel,
 };
 use entmatcher_support::alloc::{self, CountingAlloc};
 use entmatcher_support::json::{self, Json, Map, ToJson};
@@ -199,6 +203,38 @@ fn bench_config(
         heap_peak_bytes,
     });
     eprintln!("kernels: fused   n={n} d={d} k={fused_k}: {secs:.3}s ({:.2} GFLOP/s)", flops / secs / 1e9);
+    // The same top-k, one query row per call against a target packed once
+    // (outside the timing, as a serving index is): the flops match the
+    // batched row above, so the GFLOP/s columns compare directly.
+    let queries: Vec<Matrix> = (0..n)
+        .map(|i| a.select_rows(&[i]).expect("row in range"))
+        .collect();
+    for (kernel, precision) in [
+        ("fused_topk_row", Precision::F32),
+        ("fused_topk_row_f16", Precision::F16),
+        ("fused_topk_row_int8", Precision::Int8),
+    ] {
+        let packed = PackedAny::pack(&b, precision);
+        let (secs, reps, heap_peak_bytes) = measure(kernel, max_reps, || {
+            for q in &queries {
+                black_box(fused_topk_packed(q, &packed, fused_k).unwrap());
+            }
+        });
+        entries.push(Entry {
+            kernel,
+            m: n,
+            n,
+            d,
+            seconds: secs,
+            gflops: flops / secs / 1e9,
+            reps,
+            heap_peak_bytes,
+        });
+        eprintln!(
+            "kernels: {kernel} n={n} d={d} k={fused_k}: {secs:.3}s ({:.2} GFLOP/s)",
+            flops / secs / 1e9
+        );
+    }
 }
 
 /// The row sweep both dispatch strategies execute: one multiply and one
@@ -333,8 +369,8 @@ fn main() {
     let text = Json::Obj(doc).pretty();
     std::fs::write(&out_path, &text).expect("write BENCH_kernels.json");
 
-    // Self-check: the artifact must parse back and contain both dense
-    // kernels (the perf comparison the repo tracks) with finite numbers.
+    // Self-check: the artifact must parse back and contain every kernel
+    // (the perf comparisons the repo tracks) with finite numbers.
     let parsed = json::Json::parse(&text).expect("BENCH_kernels.json must parse");
     let entries_json = parsed
         .get("entries")
@@ -346,6 +382,10 @@ fn main() {
         "blocked_scalar",
         "blocked_f16",
         "blocked_int8",
+        "fused_topk",
+        "fused_topk_row",
+        "fused_topk_row_f16",
+        "fused_topk_row_int8",
         "par_pool",
         "par_spawn",
     ] {

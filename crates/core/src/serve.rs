@@ -1165,6 +1165,53 @@ mod tests {
     }
 
     #[test]
+    fn single_id_answers_equal_their_rows_of_a_batched_request() {
+        // Asserts on no telemetry, but its ~80 requests would land in the
+        // counters of a concurrently running test that does.
+        let _lock = telemetry_test_lock();
+        // 41 targets in 16-d span six strips, so a many-id request runs
+        // multi-row register blocks while a single id runs the one-row
+        // block; with the cache off, every answer is computed.
+        let (n, d) = (41, 16);
+        // Inexact values, so a different accumulation would move bits, and
+        // row norms that differ, so int8 rows get different scales.
+        let m = Matrix::from_fn(n, d, |r, c| {
+            (((r * 7 + c * 13) % 17) as f32 / 17.0 - 0.45) * (1 + r % 5) as f32
+        });
+        let exact_f32 = ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let ivf_int8 = ServeConfig {
+            precision: Precision::Int8,
+            ivf: Some(IvfParams {
+                nlist: 4,
+                nprobe: 2,
+                ..IvfParams::default()
+            }),
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        let bits = |row: &[(u32, f32)]| -> Vec<(u32, u32)> {
+            row.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+        };
+        for cfg in [exact_f32, ivf_int8] {
+            let svc = MatchService::start(m.clone(), TargetIndex::Matrix(m.clone()), cfg).unwrap();
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let batched = svc.top_k(&Query::Ids(ids.clone()), 5).unwrap();
+            for id in ids {
+                let single = svc.top_k(&Query::Ids(vec![id]), 5).unwrap();
+                assert_eq!(
+                    bits(&single.results[0]),
+                    bits(&batched.results[id as usize]),
+                    "id {id}"
+                );
+            }
+            svc.stop();
+        }
+    }
+
+    #[test]
     fn quantized_serving_stays_close_to_f32() {
         let svc = toy_service(ServeConfig {
             precision: Precision::Int8,

@@ -102,7 +102,7 @@ fn sift_down<T: Copy>(heap: &mut [T], weaker: impl Fn(T, T) -> bool) {
 /// Mean of the `k` largest of the NaN-free `vals`, summed in descending
 /// order: the canonical order that makes the mean a function of the value
 /// multiset alone. `0.0` when empty. Reorders `vals`.
-fn top_mean(vals: &mut [f32], k: usize) -> f32 {
+pub(crate) fn top_mean(vals: &mut [f32], k: usize) -> f32 {
     vals.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     let top = &vals[..k.min(vals.len())];
     if top.is_empty() {
@@ -233,7 +233,7 @@ impl TopKAccumulator {
 /// reach to be looked at (`-inf` until the heap is full, then its root).
 /// A mean depends only on the value multiset, so no indices are kept.
 #[derive(Default)]
-struct ColumnTopK {
+pub(crate) struct ColumnTopK {
     k: usize,
     vals: Vec<f32>,
     len: Vec<u32>,
@@ -241,7 +241,7 @@ struct ColumnTopK {
 }
 
 impl ColumnTopK {
-    fn new(n: usize, k: usize) -> Self {
+    pub(crate) fn new(n: usize, k: usize) -> Self {
         ColumnTopK {
             k,
             vals: vec![0.0; n * k],
@@ -251,7 +251,7 @@ impl ColumnTopK {
     }
 
     /// Offers one row's scores for columns `col0..col0 + scores.len()`.
-    fn push_row(&mut self, col0: usize, scores: &[f32]) {
+    pub(crate) fn push_row(&mut self, col0: usize, scores: &[f32]) {
         if self.k == 0 {
             return;
         }
@@ -296,7 +296,8 @@ impl ColumnTopK {
         }
     }
 
-    fn values(&self, col: usize) -> &[f32] {
+    /// Column `col`'s retained values, in heap order.
+    pub(crate) fn values(&self, col: usize) -> &[f32] {
         &self.vals[col * self.k..col * self.k + self.len[col] as usize]
     }
 }
@@ -343,7 +344,7 @@ where
     par_row_chunks_mut_grained(&mut state, 1, grain, |start_row, states| {
         let rows = states.len();
         let mut visit = task_visitor();
-        let mut scratch = vec![0.0f32; TILE_ROWS * pass_strips * NR];
+        let mut scratch = vec![0.0f32; TILE_ROWS.min(rows) * pass_strips * NR];
         let mut local_tiles = 0u64;
         let mut s0 = 0usize;
         while s0 < strips {

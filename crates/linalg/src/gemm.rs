@@ -19,18 +19,26 @@
 //!   streamed from disk ([`PackedBuilder`], [`pack_snapshot_stream`]).
 //!   A strip depends only on its own `NR` rows, so the builder carries
 //!   at most `NR - 1` rows between appends.
-//! * **Register tiling** — one tile loop, generic over the register-block
-//!   height, keeps an `MR x NR` accumulator block in registers and walks
-//!   the full depth once per tile. Remainder row groups clamp their
-//!   trailing row pointers to the last valid row (the duplicate rows are
-//!   computed but not stored), so every micro-kernel is a single
-//!   fixed-arity loop. SIMD runs *across the `NR` output columns*, never
-//!   across `d`: each accumulator lane sums its column strictly in `d`
-//!   order, so every output element is **bit-identical** to the naive
-//!   sequential `dot` of the same rows (of the dequantized rows, for f16
-//!   and int8). The scalar reference runs [`MR`] rows; the AVX2 kernels in
-//!   [`crate::simd`] run [`crate::simd::MR_SIMD`] and dequantize inside the
-//!   register block, so an f32 copy of a quantized operand never exists.
+//! * **Register tiling** — one tile loop keeps a block of accumulators in
+//!   registers and walks the full depth once per block. Each micro-kernel
+//!   body is generic over its block shape, rows x strips, and the loop
+//!   picks the shape from the rows present: full groups of `MR` rows run
+//!   `MR x 1` blocks (`MR` rows against one strip), and a shorter last
+//!   group of at most `MR / 2` rows runs one row at a time as `1 x G`
+//!   blocks against `G` consecutive strips, so a lone query computes one
+//!   row, not `MR`. A longer short group runs as one `MR x 1` group whose
+//!   missing rows point at its last row (computed, not stored): its rows
+//!   cost less together than reading every strip once per row. SIMD runs
+//!   *across the `NR` output columns*, never across
+//!   `d`: each accumulator lane sums its column strictly in `d` order, so
+//!   every output element is **bit-identical** to the naive sequential
+//!   `dot` of the same rows (of the dequantized rows, for f16 and int8),
+//!   whichever shape computed it. The scalar reference runs [`MR`] x 1 and
+//!   1 x [`ROW_STRIPS`]; the AVX2 kernels in [`crate::simd`] run
+//!   [`crate::simd::MR_SIMD`] x 1 and 1 x [`crate::simd::ROW_STRIPS_SIMD`]
+//!   (1 x [`crate::simd::ROW_STRIPS_I8`] at int8) and dequantize inside
+//!   the register block, so an f32 copy of a quantized operand never
+//!   exists.
 //! * **Cache blocking** — panels of [`PANEL_BYTES`] worth of packed strips
 //!   stay resident in L2 while every row block of the worker's chunk is
 //!   streamed against them, so `B` traffic drops from `m` passes to
@@ -54,8 +62,13 @@ use crate::Result;
 use entmatcher_support::telemetry;
 use std::ops::Range;
 
-/// Rows of `A` per scalar register tile.
+/// Rows of `A` per multi-row scalar register block (`MR` rows x one
+/// strip).
 pub const MR: usize = 4;
+
+/// Strips per one-row scalar register block (one row x `ROW_STRIPS`
+/// strips), the shape a last group of at most `MR / 2` rows runs.
+pub const ROW_STRIPS: usize = 4;
 
 /// Rows of `B` (output columns) per packed strip / register tile. Eight
 /// f32 lanes map onto one 256-bit vector register.
@@ -64,6 +77,19 @@ pub const NR: usize = 8;
 /// Target bytes of packed `B` kept hot per cache panel (~half a typical
 /// 512 KiB L2, leaving room for the `A` row block and the output tile).
 pub const PANEL_BYTES: usize = 256 * 1024;
+
+/// One register block's accumulators: `R` rows x `G` strips x [`NR`]
+/// lanes.
+pub(crate) type Block<const R: usize, const G: usize> = [[[f32; NR]; G]; R];
+
+/// Both block shapes of one micro-kernel body, for [`Tile::run`]: the
+/// closure's tokens are type-checked once as an `R x 1` block and once as
+/// a `1 x G` block, so each kernel is written once and instantiated twice.
+macro_rules! shapes {
+    ($kernel:expr) => {
+        ($kernel, $kernel)
+    };
+}
 
 /// Packed strips at the operand's storage precision.
 #[derive(Debug, Clone)]
@@ -211,71 +237,100 @@ impl PackedAny {
 
     /// Computes the tile `A[rows] x strips` into `out` (row-major, stride
     /// `out_stride`, column 0 = output column `col_base`; tail lanes past
-    /// `n` trimmed) on the micro-kernel `level` selects for this payload.
-    /// Quantized payloads have no FMA kernel (FMA requests run AVX2) and
-    /// f16 needs F16C. Returns micro-kernel invocations.
+    /// `n` trimmed) on the micro-kernel `level` selects for this payload,
+    /// at both of its block shapes. Quantized payloads have no FMA kernel
+    /// (FMA requests run AVX2) and f16 needs F16C. Returns micro-kernel
+    /// invocations.
     fn block_into(&self, tile: Tile<'_>, level: SimdLevel) -> u64 {
         let len = self.d * NR;
         #[cfg(target_arch = "x86_64")]
         {
-            use crate::simd::{self, MR_SIMD};
+            use crate::simd::{self, MR_SIMD, ROW_STRIPS_I8, ROW_STRIPS_SIMD};
             // SAFETY (every arm): callers pass a `level` from
             // `clamp_supported`, so the CPU has AVX2 (and FMA for `Fma`);
-            // the f16 arm checks F16C; callers check `a.cols() == d`, so
-            // every row of `A` has `strip.len() / NR` elements.
+            // the f16 arm checks F16C; every strip is a `len`-long slice of
+            // the payload, and callers check `a.cols() == d`, so every row
+            // of `A` has `len / NR` elements.
             match (&self.payload, level) {
                 (Payload::F32(p), SimdLevel::Avx2) => {
-                    return tile.run::<MR_SIMD>(self.n, |rows, s, acc| unsafe {
-                        simd::micro_avx2(rows, &p[s * len..(s + 1) * len], acc)
-                    })
+                    return tile.run::<MR_SIMD, ROW_STRIPS_SIMD>(
+                        self.n,
+                        shapes!(|rows, ss, acc| unsafe {
+                            simd::micro_avx2(rows, &strip_slices(p, len, ss), acc)
+                        }),
+                    )
                 }
                 (Payload::F32(p), SimdLevel::Fma) => {
-                    return tile.run::<MR_SIMD>(self.n, |rows, s, acc| unsafe {
-                        simd::micro_fma(rows, &p[s * len..(s + 1) * len], acc)
-                    })
+                    return tile.run::<MR_SIMD, ROW_STRIPS_SIMD>(
+                        self.n,
+                        shapes!(|rows, ss, acc| unsafe {
+                            simd::micro_fma(rows, &strip_slices(p, len, ss), acc)
+                        }),
+                    )
                 }
                 (Payload::F16(p), SimdLevel::Avx2 | SimdLevel::Fma) if simd::has_f16c() => {
-                    return tile.run::<MR_SIMD>(self.n, |rows, s, acc| unsafe {
-                        simd::micro_avx2_f16(rows, &p[s * len..(s + 1) * len], acc)
-                    })
+                    return tile.run::<MR_SIMD, ROW_STRIPS_SIMD>(
+                        self.n,
+                        shapes!(|rows, ss, acc| unsafe {
+                            simd::micro_avx2_f16(rows, &strip_slices(p, len, ss), acc)
+                        }),
+                    )
                 }
                 (Payload::Int8(p, scales), SimdLevel::Avx2 | SimdLevel::Fma) => {
-                    return tile.run::<MR_SIMD>(self.n, |rows, s, acc| unsafe {
-                        simd::micro_avx2_i8(
-                            rows,
-                            &p[s * len..(s + 1) * len],
-                            lane_scales(scales, s),
-                            acc,
-                        )
-                    })
+                    return tile.run::<MR_SIMD, ROW_STRIPS_I8>(
+                        self.n,
+                        shapes!(|rows, ss, acc| unsafe {
+                            simd::micro_avx2_i8(
+                                rows,
+                                &strip_slices(p, len, ss),
+                                &ss.map(|s| lane_scales(scales, s)),
+                                acc,
+                            )
+                        }),
+                    )
                 }
                 _ => {}
             }
         }
         let _ = level;
         match &self.payload {
-            Payload::F32(p) => tile.run::<MR>(self.n, |rows, s, acc| {
-                micro_scalar(rows, &p[s * len..(s + 1) * len], |v, _| v, acc)
-            }),
-            Payload::F16(p) => tile.run::<MR>(self.n, |rows, s, acc| {
-                micro_scalar(
-                    rows,
-                    &p[s * len..(s + 1) * len],
-                    |v, _| f16_bits_to_f32(v),
-                    acc,
-                )
-            }),
-            Payload::Int8(p, scales) => tile.run::<MR>(self.n, |rows, s, acc| {
-                let sc = lane_scales(scales, s);
-                micro_scalar(
-                    rows,
-                    &p[s * len..(s + 1) * len],
-                    |q, l| q as f32 * sc[l],
-                    acc,
-                )
-            }),
+            Payload::F32(p) => tile.run::<MR, ROW_STRIPS>(
+                self.n,
+                shapes!(|rows, ss, acc| {
+                    micro_scalar(rows, &strip_slices(p, len, ss), |v, _, _| v, acc)
+                }),
+            ),
+            Payload::F16(p) => tile.run::<MR, ROW_STRIPS>(
+                self.n,
+                shapes!(|rows, ss, acc| {
+                    micro_scalar(
+                        rows,
+                        &strip_slices(p, len, ss),
+                        |v, _, _| f16_bits_to_f32(v),
+                        acc,
+                    )
+                }),
+            ),
+            Payload::Int8(p, scales) => tile.run::<MR, ROW_STRIPS>(
+                self.n,
+                shapes!(|rows, ss, acc| {
+                    let sc = ss.map(|s| lane_scales(scales, s));
+                    micro_scalar(
+                        rows,
+                        &strip_slices(p, len, ss),
+                        |q, g, l| q as f32 * sc[g][l],
+                        acc,
+                    )
+                }),
+            ),
         }
     }
+}
+
+/// Strips `ss` of a payload whose strips hold `len` values each.
+#[inline(always)]
+fn strip_slices<T, const G: usize>(p: &[T], len: usize, ss: [usize; G]) -> [&[T]; G] {
+    ss.map(|s| &p[s * len..(s + 1) * len])
 }
 
 /// Strip `s`'s per-lane int8 scales.
@@ -286,24 +341,30 @@ fn lane_scales(scales: &[f32], s: usize) -> &[f32; NR] {
         .expect("NR scales per strip")
 }
 
-/// The scalar reference micro-kernel: `MRV` rows of `A` against one strip
-/// whose depth chunks `deq(value, lane)` widens to f32 (identity for f32,
-/// exact conversion for f16, `q * scale` for int8). Each accumulator lane
-/// walks depth in strict order with a separate multiply and add — the
-/// per-lane operation sequence of the AVX2 kernels, hence bitwise equal.
+/// The scalar reference micro-kernel: `R` rows of `A` against `G` strips
+/// whose depth chunks `deq(value, strip, lane)` widens to f32 (identity
+/// for f32, exact conversion for f16, `q * scale` for int8). Each
+/// accumulator lane walks depth in strict order with a separate multiply
+/// and add — the per-lane operation sequence of the AVX2 kernels, hence
+/// bitwise equal.
 #[inline(always)]
-fn micro_scalar<const MRV: usize, T: Copy>(
-    a_rows: &[&[f32]; MRV],
-    strip: &[T],
-    deq: impl Fn(T, usize) -> f32,
-    acc: &mut [[f32; NR]; MRV],
+fn micro_scalar<const R: usize, const G: usize, T: Copy>(
+    a_rows: &[&[f32]; R],
+    strips: &[&[T]; G],
+    deq: impl Fn(T, usize, usize) -> f32,
+    acc: &mut Block<R, G>,
 ) {
-    for (dd, chunk) in strip.chunks_exact(NR).enumerate() {
-        let b: [f32; NR] = std::array::from_fn(|l| deq(chunk[l], l));
-        for i in 0..MRV {
+    for dd in 0..strips[0].len() / NR {
+        let b: [[f32; NR]; G] = std::array::from_fn(|g| {
+            let chunk = &strips[g][dd * NR..(dd + 1) * NR];
+            std::array::from_fn(|l| deq(chunk[l], g, l))
+        });
+        for i in 0..R {
             let av = a_rows[i][dd];
-            for l in 0..NR {
-                acc[i][l] += av * b[l];
+            for g in 0..G {
+                for l in 0..NR {
+                    acc[i][g][l] += av * b[g][l];
+                }
             }
         }
     }
@@ -322,35 +383,69 @@ struct Tile<'a> {
 }
 
 impl Tile<'_> {
-    /// The tile loop: `MRV`-row register blocks against every strip, with
-    /// trailing row pointers clamped to the last valid row, and
-    /// `kernel(rows, strip, acc)` as the micro-kernel. Columns past `n`
-    /// are not stored. Returns micro-kernel invocations.
+    /// The tile loop, which picks the block shape from the rows present.
+    /// Full groups of `R` rows run `R x 1` blocks against every strip
+    /// (`kernels.0`). A shorter last group of at most half a group runs one
+    /// row at a time as `1 x G` blocks over `G` consecutive strips
+    /// (`kernels.1`); a longer one runs as one padded `R x 1` group, which
+    /// costs less than reading the strips once per row. Returns
+    /// micro-kernel invocations.
     #[inline(always)]
-    fn run<const MRV: usize>(
-        self,
+    fn run<const R: usize, const G: usize>(
+        mut self,
         n: usize,
-        kernel: impl Fn(&[&[f32]; MRV], usize, &mut [[f32; NR]; MRV]),
+        kernels: (
+            impl Fn(&[&[f32]; R], [usize; 1], &mut Block<R, 1>),
+            impl Fn(&[&[f32]; 1], [usize; G], &mut Block<1, G>),
+        ),
     ) -> u64 {
-        let (row0, rows) = (self.rows.start, self.rows.len());
-        let mut r = 0usize;
-        while r < rows {
-            let mr = MRV.min(rows - r);
-            let a_rows: [&[f32]; MRV] =
-                std::array::from_fn(|i| self.a.row(row0 + r + i.min(mr - 1)));
-            for s in self.strips.clone() {
-                let mut acc = [[0.0f32; NR]; MRV];
-                kernel(&a_rows, s, &mut acc);
-                let col = s * NR;
-                let valid = NR.min(n - col);
-                for (i, lanes) in acc.iter().enumerate().take(mr) {
-                    let dst = (r + i) * self.out_stride + (col - self.col_base);
-                    self.out[dst..dst + valid].copy_from_slice(&lanes[..valid]);
+        let rows = self.rows.len();
+        let short = rows % R;
+        let split = if 2 * short > R { rows } else { rows - short };
+        self.blocks(0..split, n, kernels.0) + self.blocks(split..rows, n, kernels.1)
+    }
+
+    /// `R x G` blocks over the tile rows `local` and every strip, with
+    /// `kernel(rows, strips, acc)` as the micro-kernel. A short last row
+    /// group points its missing rows at its last row, and a ragged strip
+    /// tail its missing strips at the last strip; those results are
+    /// computed but not stored, and neither are columns past `n`. Returns
+    /// micro-kernel invocations.
+    #[inline(always)]
+    fn blocks<const R: usize, const G: usize>(
+        &mut self,
+        local: Range<usize>,
+        n: usize,
+        kernel: impl Fn(&[&[f32]; R], [usize; G], &mut Block<R, G>),
+    ) -> u64 {
+        let mut calls = 0u64;
+        for r in local.clone().step_by(R) {
+            let valid_rows = R.min(local.end - r);
+            let a_rows: [&[f32]; R] = std::array::from_fn(|i| {
+                self.a.row(self.rows.start + r + i.min(valid_rows - 1))
+            });
+            let mut s = self.strips.start;
+            while s < self.strips.end {
+                let valid_strips = G.min(self.strips.end - s);
+                let mut acc = [[[0.0f32; NR]; G]; R];
+                kernel(
+                    &a_rows,
+                    std::array::from_fn(|g| s + g.min(valid_strips - 1)),
+                    &mut acc,
+                );
+                for (i, row) in acc.iter().enumerate().take(valid_rows) {
+                    for (g, lanes) in row.iter().enumerate().take(valid_strips) {
+                        let col = (s + g) * NR;
+                        let valid = NR.min(n - col);
+                        let dst = (r + i) * self.out_stride + (col - self.col_base);
+                        self.out[dst..dst + valid].copy_from_slice(&lanes[..valid]);
+                    }
                 }
+                calls += 1;
+                s += valid_strips;
             }
-            r += mr;
         }
-        (rows.div_ceil(MRV) * self.strips.len()) as u64
+        calls
     }
 }
 
@@ -777,7 +872,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("entmatcher-pack-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream.emb");
-        for (n, d) in [(41usize, 7usize), (5, 0)] {
+        for (n, d) in [(41usize, 7usize), (0, 7)] {
             let b = seq_matrix(n, d, 9);
             let a = seq_matrix(6, d, 10);
             std::fs::write(&path, crate::snapshot::to_bytes(&b)).unwrap();

@@ -59,46 +59,47 @@ pub fn top_k_desc(row: &[f32], k: usize) -> Vec<usize> {
 ///
 /// Uses a bounded-heap accumulator ([`crate::fused::TopKAccumulator`])
 /// instead of materializing a sorted index vector — O(n lg k) with no
-/// allocation proportional to `n`. The mean sums the retained values in
-/// canonical descending order, so every top-k implementation in the crate
-/// (dense selection, column pass, fused streaming) reports bit-identical
-/// means for the same value multiset.
+/// allocation proportional to `n` — and offers the row as one run, so once
+/// the heap is full only values that reach its floor are looked at. The
+/// mean sums the retained values in canonical descending order, so every
+/// top-k implementation in the crate (dense selection, column pass, fused
+/// streaming) reports bit-identical means for the same value multiset.
 pub fn top_k_mean(row: &[f32], k: usize) -> f32 {
     let mut acc = crate::fused::TopKAccumulator::new(k);
-    for (i, &v) in row.iter().enumerate() {
-        acc.push(i as u32, v);
-    }
+    acc.push_run(0, row);
     acc.mean()
 }
 
 /// Per-column mean of the `k` largest values of `m` — the column-wise
 /// counterpart of [`top_k_mean`], i.e. the CSLS target-side neighbourhood
-/// statistic. Streams the matrix row by row into per-column bounded heaps,
-/// parallelized over contiguous column blocks, so no `n_t x n_s`
-/// transposed copy is ever allocated.
+/// statistic. Streams the matrix row by row into one flat, value-only
+/// top-`k` state per contiguous column block (the floor-filtered column
+/// state of [`crate::fused`]), parallelized over the blocks, so no
+/// `n_t x n_s` transposed copy is ever allocated.
 pub fn col_top_k_means(m: &crate::matrix::Matrix, k: usize) -> Vec<f32> {
-    use crate::fused::TopKAccumulator;
+    use crate::fused::{top_mean, ColumnTopK};
     let (rows, cols) = m.shape();
     let mut out = vec![0.0f32; cols];
     if cols == 0 {
         return out;
     }
+    // A column sees `rows` values, so no more slots are needed.
+    let slots = k.min(rows);
     // Each output column is a reduction over all `rows` values, so the
     // per-item cost is `rows`, not 1 — few columns over many rows must
     // still fan out.
     let grain = crate::parallel::Grain::for_item_cost(rows);
     crate::parallel::par_row_chunks_mut_grained(&mut out, 1, grain, |col0, chunk| {
         let width = chunk.len();
-        let mut heaps: Vec<TopKAccumulator> =
-            (0..width).map(|_| TopKAccumulator::new(k)).collect();
+        let mut heaps = ColumnTopK::new(width, slots);
         for r in 0..rows {
-            let seg = &m.row(r)[col0..col0 + width];
-            for (h, &v) in heaps.iter_mut().zip(seg.iter()) {
-                h.push(r as u32, v);
-            }
+            heaps.push_row(0, &m.row(r)[col0..col0 + width]);
         }
-        for (slot, h) in chunk.iter_mut().zip(heaps.iter()) {
-            *slot = h.mean();
+        let mut vals = Vec::with_capacity(slots);
+        for (col, slot) in chunk.iter_mut().enumerate() {
+            vals.clear();
+            vals.extend_from_slice(heaps.values(col));
+            *slot = top_mean(&mut vals, k);
         }
     });
     out

@@ -35,7 +35,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::gemm::NR;
+use crate::gemm::{Block, NR};
 
 /// Which micro-kernel implementation the GEMM runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,126 +158,187 @@ pub(crate) fn has_f16c() -> bool {
     false
 }
 
-/// Rows of `A` per vector register tile. Wider than the scalar
-/// [`crate::gemm::MR`] because with one-load-per-depth the broadcast
-/// multiply-adds of 8 independent rows hide each other's latency; 8
-/// accumulator vectors plus the shared `B` load still fit in 16 ymm
-/// registers.
+/// Rows of `A` per multi-row vector register block (`MR_SIMD` rows x one
+/// strip). With one strip load per depth step, the broadcast multiply-adds
+/// of 8 independent rows hide each other's latency; 8 accumulator vectors
+/// plus the shared `B` load still fit in 16 ymm registers. Full groups of
+/// `MR_SIMD` rows run this shape, and so does a last group of 5–7 rows
+/// (padded with its last row); a last group of 1–4 rows runs the one-row
+/// block ([`ROW_STRIPS_SIMD`]) once per row.
 pub const MR_SIMD: usize = 8;
 
-/// AVX2 micro-kernel: `MR_SIMD` rows of `A` against one packed strip of
-/// `NR` output columns, accumulated in strict depth order with separate
-/// multiply and add (bitwise equal to the scalar kernel).
+/// Strips per one-row vector register block (one row x `ROW_STRIPS_SIMD`
+/// consecutive strips), the shape a last row group of at most
+/// `MR_SIMD / 2` rows runs. The strips' independent accumulators keep the
+/// add chains overlapped the way the eight rows of the multi-row block do;
+/// one row against one strip would serialize on add latency.
+pub const ROW_STRIPS_SIMD: usize = 8;
+
+/// Strips per one-row block of the int8 kernel: each strip also keeps its
+/// lane-scale vector in a register, so 6 accumulators and 6 scale vectors
+/// leave room for the broadcast row value and the dequantize temporaries
+/// within 16 ymm registers.
+pub const ROW_STRIPS_I8: usize = 6;
+
+/// AVX2 micro-kernel: `R` rows of `A` against `G` packed strips of `NR`
+/// output columns each, accumulated in strict depth order with separate
+/// multiply and add (bitwise equal to the scalar kernel). Instantiated as
+/// `MR_SIMD x 1` and `1 x ROW_STRIPS_SIMD`.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and that each `a_rows[i]` has
-/// at least `strip.len() / NR` elements.
+/// Caller must ensure the CPU supports AVX2, that every strip has the
+/// length of `strips[0]` (a multiple of `NR`), and that each `a_rows[i]`
+/// has at least `strips[0].len() / NR` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn micro_avx2(a_rows: &[&[f32]; MR_SIMD], strip: &[f32], out: &mut [[f32; NR]; MR_SIMD]) {
+pub(crate) unsafe fn micro_avx2<const R: usize, const G: usize>(
+    a_rows: &[&[f32]; R],
+    strips: &[&[f32]; G],
+    out: &mut Block<R, G>,
+) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); MR_SIMD];
-    for (dd, b8) in strip.chunks_exact(NR).enumerate() {
-        let bv = _mm256_loadu_ps(b8.as_ptr());
-        for i in 0..MR_SIMD {
+    let mut acc = [[_mm256_setzero_ps(); G]; R];
+    for dd in 0..strips[0].len() / NR {
+        let mut bv = [_mm256_setzero_ps(); G];
+        for g in 0..G {
+            bv[g] = _mm256_loadu_ps(strips[g].as_ptr().add(dd * NR));
+        }
+        for i in 0..R {
             let av = _mm256_set1_ps(*a_rows[i].get_unchecked(dd));
-            // mul then add, NOT fmadd: keeps the two-rounding semantics of
-            // the scalar `acc += a * b`, hence bitwise identity.
-            acc[i] = _mm256_add_ps(acc[i], _mm256_mul_ps(av, bv));
+            for g in 0..G {
+                // mul then add, NOT fmadd: keeps the two-rounding
+                // semantics of the scalar `acc += a * b`, hence bitwise
+                // identity.
+                acc[i][g] = _mm256_add_ps(acc[i][g], _mm256_mul_ps(av, bv[g]));
+            }
         }
     }
-    for i in 0..MR_SIMD {
-        _mm256_storeu_ps(out[i].as_mut_ptr(), acc[i]);
+    for i in 0..R {
+        for g in 0..G {
+            _mm256_storeu_ps(out[i][g].as_mut_ptr(), acc[i][g]);
+        }
     }
 }
 
-/// AVX2+FMA micro-kernel: same shape as [`micro_avx2`] but each
+/// AVX2+FMA micro-kernel: same shapes as [`micro_avx2`] but each
 /// multiply-add rounds once (`_mm256_fmadd_ps`). Opt-in only.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA and that each
-/// `a_rows[i]` has at least `strip.len() / NR` elements.
+/// Caller must ensure the CPU supports AVX2 and FMA, that every strip has
+/// the length of `strips[0]` (a multiple of `NR`), and that each
+/// `a_rows[i]` has at least `strips[0].len() / NR` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn micro_fma(a_rows: &[&[f32]; MR_SIMD], strip: &[f32], out: &mut [[f32; NR]; MR_SIMD]) {
+pub(crate) unsafe fn micro_fma<const R: usize, const G: usize>(
+    a_rows: &[&[f32]; R],
+    strips: &[&[f32]; G],
+    out: &mut Block<R, G>,
+) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); MR_SIMD];
-    for (dd, b8) in strip.chunks_exact(NR).enumerate() {
-        let bv = _mm256_loadu_ps(b8.as_ptr());
-        for i in 0..MR_SIMD {
+    let mut acc = [[_mm256_setzero_ps(); G]; R];
+    for dd in 0..strips[0].len() / NR {
+        let mut bv = [_mm256_setzero_ps(); G];
+        for g in 0..G {
+            bv[g] = _mm256_loadu_ps(strips[g].as_ptr().add(dd * NR));
+        }
+        for i in 0..R {
             let av = _mm256_set1_ps(*a_rows[i].get_unchecked(dd));
-            acc[i] = _mm256_fmadd_ps(av, bv, acc[i]);
+            for g in 0..G {
+                acc[i][g] = _mm256_fmadd_ps(av, bv[g], acc[i][g]);
+            }
         }
     }
-    for i in 0..MR_SIMD {
-        _mm256_storeu_ps(out[i].as_mut_ptr(), acc[i]);
+    for i in 0..R {
+        for g in 0..G {
+            _mm256_storeu_ps(out[i][g].as_mut_ptr(), acc[i][g]);
+        }
     }
 }
 
-/// AVX2+F16C dequantize-fused micro-kernel for an f16 strip: each depth
-/// chunk of [`NR`] halves is widened with `vcvtph2ps` (exact, so it agrees
-/// bit-for-bit with the scalar software conversion), then accumulated with
-/// separate multiply and add — bitwise identical to the scalar
-/// dequantize-fused reference in [`crate::quant`].
+/// AVX2+F16C dequantize-fused micro-kernel for f16 strips, at the shapes of
+/// [`micro_avx2`]: each depth chunk of [`NR`] halves is widened with
+/// `vcvtph2ps` (exact, so it agrees bit-for-bit with the scalar software
+/// conversion), then accumulated with separate multiply and add — bitwise
+/// identical to the scalar dequantize-fused reference in [`crate::gemm`].
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and F16C and that each
-/// `a_rows[i]` has at least `strip.len() / NR` elements.
+/// Caller must ensure the CPU supports AVX2 and F16C, that every strip has
+/// the length of `strips[0]` (a multiple of `NR`), and that each
+/// `a_rows[i]` has at least `strips[0].len() / NR` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c")]
-pub(crate) unsafe fn micro_avx2_f16(
-    a_rows: &[&[f32]; MR_SIMD],
-    strip: &[u16],
-    out: &mut [[f32; NR]; MR_SIMD],
+pub(crate) unsafe fn micro_avx2_f16<const R: usize, const G: usize>(
+    a_rows: &[&[f32]; R],
+    strips: &[&[u16]; G],
+    out: &mut Block<R, G>,
 ) {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); MR_SIMD];
-    for (dd, h8) in strip.chunks_exact(NR).enumerate() {
-        // 8 halves = 16 bytes -> 8 f32 lanes, conversion exact.
-        let hv = _mm_loadu_si128(h8.as_ptr() as *const __m128i);
-        let bv = _mm256_cvtph_ps(hv);
-        for i in 0..MR_SIMD {
+    let mut acc = [[_mm256_setzero_ps(); G]; R];
+    for dd in 0..strips[0].len() / NR {
+        let mut bv = [_mm256_setzero_ps(); G];
+        for g in 0..G {
+            // 8 halves = 16 bytes -> 8 f32 lanes, conversion exact.
+            let hv = _mm_loadu_si128(strips[g].as_ptr().add(dd * NR) as *const __m128i);
+            bv[g] = _mm256_cvtph_ps(hv);
+        }
+        for i in 0..R {
             let av = _mm256_set1_ps(*a_rows[i].get_unchecked(dd));
-            acc[i] = _mm256_add_ps(acc[i], _mm256_mul_ps(av, bv));
+            for g in 0..G {
+                acc[i][g] = _mm256_add_ps(acc[i][g], _mm256_mul_ps(av, bv[g]));
+            }
         }
     }
-    for i in 0..MR_SIMD {
-        _mm256_storeu_ps(out[i].as_mut_ptr(), acc[i]);
+    for i in 0..R {
+        for g in 0..G {
+            _mm256_storeu_ps(out[i][g].as_mut_ptr(), acc[i][g]);
+        }
     }
 }
 
-/// AVX2 dequantize-fused micro-kernel for an int8 strip: each depth chunk
-/// of [`NR`] bytes is sign-extended and converted to f32 (exact), then
-/// multiplied by the strip's per-lane scale vector (one rounding) and
-/// accumulated with separate multiply and add — the identical per-lane
-/// operation sequence to the scalar reference, hence bitwise identity.
+/// AVX2 dequantize-fused micro-kernel for int8 strips, instantiated as
+/// `MR_SIMD x 1` and `1 x ROW_STRIPS_I8`: each depth chunk of [`NR`] bytes
+/// is sign-extended and converted to f32 (exact), then multiplied by its
+/// strip's per-lane scale vector (one rounding) and accumulated with
+/// separate multiply and add — the identical per-lane operation sequence
+/// to the scalar reference, hence bitwise identity.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and that each `a_rows[i]` has
-/// at least `strip.len() / NR` elements.
+/// Caller must ensure the CPU supports AVX2, that every strip has the
+/// length of `strips[0]` (a multiple of `NR`), and that each `a_rows[i]`
+/// has at least `strips[0].len() / NR` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn micro_avx2_i8(
-    a_rows: &[&[f32]; MR_SIMD],
-    strip: &[i8],
-    scales: &[f32; NR],
-    out: &mut [[f32; NR]; MR_SIMD],
+pub(crate) unsafe fn micro_avx2_i8<const R: usize, const G: usize>(
+    a_rows: &[&[f32]; R],
+    strips: &[&[i8]; G],
+    scales: &[&[f32; NR]; G],
+    out: &mut Block<R, G>,
 ) {
     use std::arch::x86_64::*;
-    let sv = _mm256_loadu_ps(scales.as_ptr());
-    let mut acc = [_mm256_setzero_ps(); MR_SIMD];
-    for (dd, q8) in strip.chunks_exact(NR).enumerate() {
-        // 8 int8 = 8 bytes -> sign-extend to i32 -> f32 (both exact),
-        // then one rounding for the scale multiply.
-        let qv = _mm_loadl_epi64(q8.as_ptr() as *const __m128i);
-        let bv = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv)), sv);
-        for i in 0..MR_SIMD {
+    let mut sv = [_mm256_setzero_ps(); G];
+    for g in 0..G {
+        sv[g] = _mm256_loadu_ps(scales[g].as_ptr());
+    }
+    let mut acc = [[_mm256_setzero_ps(); G]; R];
+    for dd in 0..strips[0].len() / NR {
+        let mut bv = [_mm256_setzero_ps(); G];
+        for g in 0..G {
+            // 8 int8 = 8 bytes -> sign-extend to i32 -> f32 (both exact),
+            // then one rounding for the scale multiply.
+            let qv = _mm_loadl_epi64(strips[g].as_ptr().add(dd * NR) as *const __m128i);
+            bv[g] = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv)), sv[g]);
+        }
+        for i in 0..R {
             let av = _mm256_set1_ps(*a_rows[i].get_unchecked(dd));
-            acc[i] = _mm256_add_ps(acc[i], _mm256_mul_ps(av, bv));
+            for g in 0..G {
+                acc[i][g] = _mm256_add_ps(acc[i][g], _mm256_mul_ps(av, bv[g]));
+            }
         }
     }
-    for i in 0..MR_SIMD {
-        _mm256_storeu_ps(out[i].as_mut_ptr(), acc[i]);
+    for i in 0..R {
+        for g in 0..G {
+            _mm256_storeu_ps(out[i][g].as_mut_ptr(), acc[i][g]);
+        }
     }
 }
 

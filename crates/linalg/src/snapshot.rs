@@ -27,7 +27,8 @@ const VERSION: u32 = 1;
 /// Size of the fixed snapshot header in bytes.
 const HEADER_BYTES: usize = 24;
 
-/// Serializes a matrix into the snapshot wire format.
+/// Serializes a matrix into the snapshot wire format. A matrix with rows
+/// but no columns has no valid snapshot: the loaders reject its header.
 pub fn to_bytes(m: &Matrix) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + 4 + 16 + m.len() * 4);
     buf.extend_from_slice(MAGIC);
@@ -60,9 +61,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Matrix> {
 }
 
 /// Decodes a snapshot header (shared by [`from_bytes`] and the streaming
-/// reader). Returns `(rows, cols, payload_bytes)`; a shape whose payload
-/// byte count overflows `usize` is corrupt, so no caller can size a
-/// buffer from a wrapped length.
+/// reader). Returns `(rows, cols, payload_bytes)`. Two shapes are corrupt:
+/// one whose payload byte count overflows `usize`, so no caller can size a
+/// buffer from a wrapped length; and rows with zero columns, whose empty
+/// payload would pass every length check while the loaders walk (and the
+/// int8 packer keeps a scale for) each declared row.
 fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize, usize)> {
     let magic: [u8; 4] = head[0..4].try_into().unwrap();
     if &magic != MAGIC {
@@ -81,6 +84,11 @@ fn parse_header(head: &[u8; HEADER_BYTES]) -> Result<(usize, usize, usize)> {
     let (Ok(rows), Ok(cols)) = (field(8), field(16)) else {
         return Err(LinalgError::CorruptSnapshot("shape overflow".into()));
     };
+    if rows > 0 && cols == 0 {
+        return Err(LinalgError::CorruptSnapshot(format!(
+            "{rows} rows with zero columns"
+        )));
+    }
     let payload_bytes = rows
         .checked_mul(cols)
         .and_then(|elems| elems.checked_mul(4))
@@ -297,21 +305,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn header_whose_byte_count_overflows_is_corrupt() {
-        // 2^62 x 1 elements = 2^64 payload bytes, which wraps to 0: the
-        // 24-byte header alone would pass a wrapped length check.
+    /// A payload-less header declaring `rows x cols`.
+    fn bare_header(rows: u64, cols: u64) -> Vec<u8> {
         let mut head = Vec::from(*MAGIC);
         head.extend_from_slice(&VERSION.to_le_bytes());
-        head.extend_from_slice(&(1u64 << 62).to_le_bytes());
-        head.extend_from_slice(&1u64.to_le_bytes());
+        head.extend_from_slice(&rows.to_le_bytes());
+        head.extend_from_slice(&cols.to_le_bytes());
+        head
+    }
+
+    /// Asserts that every loader, in memory and from a file, reports the
+    /// snapshot `raw` as corrupt.
+    fn assert_every_loader_rejects(raw: &[u8], tag: &str) {
         let corrupt = |r: Result<_>| matches!(r, Err(LinalgError::CorruptSnapshot(_)));
-        assert!(corrupt(from_bytes(&head).map(|_| ())));
-        let dir =
-            std::env::temp_dir().join(format!("entmatcher-snapshot-ovf-{}", std::process::id()));
+        assert!(corrupt(from_bytes(raw).map(|_| ())));
+        assert!(corrupt(
+            SnapshotReader::from_reader(std::io::Cursor::new(raw.to_vec())).map(|_| ())
+        ));
+        let dir = std::env::temp_dir().join(format!(
+            "entmatcher-snapshot-{tag}-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("overflow.emb");
-        std::fs::write(&path, &head).unwrap();
+        let path = dir.join("corrupt.emb");
+        std::fs::write(&path, raw).unwrap();
         assert!(corrupt(SnapshotReader::open(&path).map(|_| ())));
         assert!(corrupt(read_file_chunked(&path, 16).map(|_| ())));
         for precision in [Precision::F32, Precision::F16, Precision::Int8] {
@@ -320,6 +337,26 @@ mod tests {
             ));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn header_whose_byte_count_overflows_is_corrupt() {
+        // 2^62 x 1 elements = 2^64 payload bytes, which wraps to 0: the
+        // 24-byte header alone would pass a wrapped length check.
+        assert_every_loader_rejects(&bare_header(1 << 62, 1), "ovf");
+    }
+
+    #[test]
+    fn header_with_rows_but_no_columns_is_corrupt() {
+        // 2^40 x 0: an empty payload matches the declared byte count, so
+        // only the shape itself can stop the loaders from walking 2^40
+        // phantom rows.
+        assert_every_loader_rejects(&bare_header(1 << 40, 0), "n0");
+        // Zero rows stay a valid (empty) snapshot at any width.
+        for cols in [0usize, 3] {
+            let empty = Matrix::zeros(0, cols);
+            assert_eq!(from_bytes(&to_bytes(&empty)).unwrap(), empty);
+        }
     }
 
     #[test]

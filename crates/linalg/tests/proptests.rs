@@ -9,7 +9,9 @@ use entmatcher_linalg::fused::{
     fused_argmax_affine, fused_topk_means_both_packed, fused_topk_means_packed, TopKAccumulator,
 };
 use entmatcher_linalg::ops::{col_sums, row_sums};
-use entmatcher_linalg::rank::{argmax, argsort_desc, rank_desc, top_k_desc, top_k_mean};
+use entmatcher_linalg::rank::{
+    argmax, argsort_desc, col_top_k_means, rank_desc, top_k_desc, top_k_mean,
+};
 use entmatcher_linalg::{
     dot, matmul_blocked_packed, matmul_transposed, normalize_rows_l2, snapshot, Matrix, PackedAny,
     Precision,
@@ -214,15 +216,16 @@ fn hcat_then_select_recovers_left_block() {
     });
 }
 
-/// A value from a palette heavy in NaN, infinities and repeats, so runs
-/// exercise the filters' tie, NaN and overflow edges.
+/// A value from a palette heavy in NaN, infinities and repeats (signed
+/// zeros among them), so runs exercise the filters' tie, NaN and overflow
+/// edges.
 fn gen_edgy(g: &mut Gen) -> f32 {
     match g.gen_range(0..8u32) {
         0 => f32::NAN,
         1 => f32::INFINITY,
         2 => f32::NEG_INFINITY,
         7 => g.gen_range(-2.0f32..2.0),
-        _ => *g.choose(&[-1.0f32, 0.0, 0.5, 1.0]),
+        _ => *g.choose(&[-1.0f32, -0.0, 0.0, 0.5, 1.0]),
     }
 }
 
@@ -259,6 +262,39 @@ fn push_run_keeps_exactly_what_push_keeps() {
             batched.push_run(base, &run);
             prop_assert_eq!(batched.mean().to_bits(), one.mean().to_bits());
             prop_assert_eq!(sorted_bits(batched), sorted_bits(one));
+        }
+        Ok(())
+    });
+}
+
+/// Mean of the `k` largest of `values` through one scalar
+/// [`TopKAccumulator::push`] per value: the reference the dense CSLS
+/// reductions are held to.
+fn push_mean(values: impl IntoIterator<Item = f32>, k: usize) -> f32 {
+    let mut acc = TopKAccumulator::new(k);
+    for (i, v) in values.into_iter().enumerate() {
+        acc.push(i as u32, v);
+    }
+    acc.mean()
+}
+
+#[test]
+fn dense_topk_means_equal_one_push_per_value() {
+    check("dense_topk_means_equal_one_push_per_value", cfg(), |g| {
+        // Rows wider than one filter step, columns deep enough to fill
+        // their heaps, and k from 0 past both dimensions.
+        let (rows, cols) = (g.len_in(0, 24), g.len_in(0, 40));
+        let data: Vec<f32> = (0..rows * cols).map(|_| gen_edgy(g)).collect();
+        let m = Matrix::from_vec(rows, cols, data).expect("sized");
+        let k = *g.choose(&[0, 1, 2, 3, 10, rows, rows + 3, cols, cols + 3]);
+        for r in 0..rows {
+            let want = push_mean(m.row(r).iter().copied(), k);
+            prop_assert_eq!(top_k_mean(m.row(r), k).to_bits(), want.to_bits());
+        }
+        let got = col_top_k_means(&m, k);
+        prop_assert_eq!(got.len(), cols);
+        for (c, mean) in got.iter().enumerate() {
+            prop_assert_eq!(mean.to_bits(), push_mean(m.col(c), k).to_bits());
         }
         Ok(())
     });

@@ -11,14 +11,16 @@
 //!    rows quantize to all zeros, NaN elements to 0, +/-inf saturate.
 //! 2. **Kernel identity.** The dequantize-fused AVX2 micro-kernels are
 //!    bitwise identical to their scalar references on a shape grid
-//!    straddling every register-block and strip remainder — the same
+//!    straddling every register-block and strip remainder, at both block
+//!    shapes (multi-row, and one row over several strips) — the same
 //!    discipline `simd_equivalence.rs` pins for the f32 kernel.
 
-use entmatcher_linalg::gemm::matmul_blocked_packed_with;
+use entmatcher_linalg::gemm::{matmul_blocked_packed_with, NR, ROW_STRIPS};
 use entmatcher_linalg::ops::matmul_naive;
 use entmatcher_linalg::quant::{
     dequantize_value_int8, f16_bits_to_f32, f32_to_f16_bits, int8_row_scale, quantize_value_int8,
 };
+use entmatcher_linalg::simd::{MR_SIMD, ROW_STRIPS_I8, ROW_STRIPS_SIMD};
 use entmatcher_linalg::{
     quantize_roundtrip, Matrix, PackedAny, Precision, QuantizedMatrix, SimdLevel,
 };
@@ -235,18 +237,34 @@ fn lumpy_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
     })
 }
 
-const MS: [usize; 7] = [1, 3, 4, 5, 8, 13, 33];
-const NS: [usize; 7] = [1, 2, 7, 8, 9, 21, 40];
-const DS: [usize; 3] = [1, 7, 128];
+/// Query rows: every count up to one past the 8-row SIMD block, then
+/// deeper counts with a remainder (mirrors `simd_equivalence.rs`).
+fn query_counts() -> Vec<usize> {
+    (1..=MR_SIMD + 1).chain([13, 33]).collect()
+}
+
+/// Target counts: the NR=8 strip remainders, then for each one-row block
+/// width G a count below G strips, exactly G strips, and 3·G strips plus
+/// a ragged tail, and a count past one fused pass (at most 256 strips).
+fn target_counts() -> Vec<usize> {
+    let mut ns = vec![1, 2, 7, 8, 9, 21, 40];
+    for g in [ROW_STRIPS, ROW_STRIPS_I8, ROW_STRIPS_SIMD] {
+        ns.extend([g * NR - 3, g * NR, 3 * g * NR + 13]);
+    }
+    ns.push(256 * NR + 37);
+    ns
+}
+
+const DS: [usize; 4] = [1, 7, 64, 128];
 
 #[test]
 fn dequantize_fused_avx2_is_bitwise_equal_to_scalar_on_shape_grid() {
     // f32 is one more payload of the same packed operand: its scalar and
     // AVX2 kernels must meet the same contract through the same entry point.
     for precision in [Precision::F32, Precision::F16, Precision::Int8] {
-        for (shape_salt, &m) in MS.iter().enumerate() {
-            for &n in &NS {
-                for &d in &DS {
+        for (shape_salt, m) in query_counts().into_iter().enumerate() {
+            for n in target_counts() {
+                for d in DS {
                     let a = lumpy_matrix(m, d, shape_salt);
                     let b = lumpy_matrix(n, d, shape_salt + 101);
                     let packed = PackedAny::pack(&b, precision);

@@ -2,18 +2,24 @@
 //!
 //! The contract under test: the AVX2 micro-kernel is **bitwise identical**
 //! to the scalar reference on every shape — including remainder rows
-//! (m not a multiple of the 4- or 8-row register blocks), remainder
-//! columns (n not a multiple of NR=8), and degenerate depths — because it
-//! vectorizes across output columns and keeps the depth reduction in
-//! scalar order. The FMA variant is only required to agree to a relative
-//! tolerance (it rounds once per multiply-add).
+//! (m not a multiple of the 4- or 8-row register blocks, so a short last
+//! group runs the one-row block over several strips, or a padded
+//! multi-row block when it holds more than half a block),
+//! remainder columns (n not a multiple of NR=8, or of a one-row block's
+//! strips), and degenerate depths — because it vectorizes across output
+//! columns and keeps the depth reduction in scalar order. A row's scores
+//! must not depend on which block shape computed them, so a one-row fused
+//! top-k equals that row of a batched one, bitwise. The FMA variant is
+//! only required to agree to a relative tolerance (it rounds once per
+//! multiply-add).
 //!
 //! On machines without AVX2 (or non-x86_64 targets) every level resolves
 //! to the scalar kernel and the equality assertions hold trivially.
 
-use entmatcher_linalg::gemm::matmul_blocked_with;
+use entmatcher_linalg::gemm::{matmul_blocked_with, NR, ROW_STRIPS};
 use entmatcher_linalg::ops::matmul_naive;
-use entmatcher_linalg::{Matrix, SimdLevel};
+use entmatcher_linalg::simd::{MR_SIMD, ROW_STRIPS_I8, ROW_STRIPS_SIMD};
+use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision, SimdLevel};
 
 /// Deterministic awkward values: mixed signs and magnitudes so that
 /// accumulation-order changes would actually move the result bits.
@@ -35,18 +41,35 @@ fn lumpy_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
     })
 }
 
-/// The shape grid from the issue: m and n straddle the 4-row scalar block,
-/// the 8-row SIMD block, and the NR=8 strip width (with remainders), and
-/// d covers the degenerate, sub-vector, and realistic embedding sizes.
-const MS: [usize; 7] = [1, 3, 4, 5, 8, 13, 33];
-const NS: [usize; 7] = [1, 2, 7, 8, 9, 21, 40];
-const DS: [usize; 3] = [1, 7, 128];
+/// Query rows: every count up to one past the 8-row SIMD block (so every
+/// remainder of both multi-row blocks, the 4-row scalar and the 8-row
+/// AVX2 one, on both sides of the half-block shape choice), then deeper
+/// counts with a remainder.
+fn query_counts() -> Vec<usize> {
+    (1..=MR_SIMD + 1).chain([13, 33]).collect()
+}
+
+/// Target counts: the NR=8 strip remainders, then for each one-row block
+/// width G (scalar, int8 and f32/f16 AVX2 strips) a count below G strips,
+/// exactly G strips, and 3·G strips plus a ragged tail, and a count past
+/// one fused pass (which spans at most 256 strips).
+fn target_counts() -> Vec<usize> {
+    let mut ns = vec![1, 2, 7, 8, 9, 21, 40];
+    for g in [ROW_STRIPS, ROW_STRIPS_I8, ROW_STRIPS_SIMD] {
+        ns.extend([g * NR - 3, g * NR, 3 * g * NR + 13]);
+    }
+    ns.push(256 * NR + 37);
+    ns
+}
+
+/// Depths: degenerate, sub-vector, and two embedding sizes.
+const DS: [usize; 4] = [1, 7, 64, 128];
 
 #[test]
 fn avx2_is_bitwise_equal_to_scalar_and_naive_on_shape_grid() {
-    for (shape_salt, &m) in MS.iter().enumerate() {
-        for &n in &NS {
-            for &d in &DS {
+    for (shape_salt, m) in query_counts().into_iter().enumerate() {
+        for n in target_counts() {
+            for d in DS {
                 let a = lumpy_matrix(m, d, shape_salt);
                 let b = lumpy_matrix(n, d, shape_salt + 101);
                 let naive = matmul_naive(&a, &b).unwrap();
@@ -65,6 +88,33 @@ fn avx2_is_bitwise_equal_to_scalar_and_naive_on_shape_grid() {
     }
 }
 
+#[test]
+fn single_row_fused_topk_equals_its_row_of_the_batched_call() {
+    // k = n ranks every target, so each of a row's scores is compared.
+    let bits = |row: &[(u32, f32)]| -> Vec<(u32, u32)> {
+        row.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+    };
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+        for n in target_counts() {
+            for d in DS {
+                let a = lumpy_matrix(MR_SIMD + 1, d, n);
+                let packed = PackedAny::pack(&lumpy_matrix(n, d, n + 101), precision);
+                let batched = fused_topk_packed(&a, &packed, n).unwrap();
+                for (i, want) in batched.iter().enumerate() {
+                    let row = a.select_rows(&[i]).unwrap();
+                    let single = fused_topk_packed(&row, &packed, n).unwrap();
+                    assert_eq!(
+                        bits(&single[0]),
+                        bits(want),
+                        "{} row {i} alone != batched at n={n} d={d}",
+                        precision.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn fma_matches_scalar_within_tolerance() {
@@ -72,7 +122,12 @@ fn fma_matches_scalar_within_tolerance() {
         eprintln!("skipping: host has no FMA");
         return;
     }
-    for &(m, n, d) in &[(5usize, 9usize, 128usize), (13, 21, 7), (33, 40, 128)] {
+    for &(m, n, d) in &[
+        (5usize, 9usize, 128usize),
+        (13, 21, 7),
+        (33, 40, 128),
+        (1, 205, 64),
+    ] {
         let a = lumpy_matrix(m, d, 7);
         let b = lumpy_matrix(n, d, 13);
         let scalar = matmul_blocked_with(&a, &b, SimdLevel::Scalar).unwrap();

@@ -60,12 +60,15 @@ for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --test ann_recall
 
     # Packed-operand and quantized-storage group: the f32/f16/int8 packed
-    # operand (`linalg::gemm`) carries bitwise scalar-vs-AVX2 identity and
+    # operand (`linalg::gemm`) carries bitwise scalar-vs-AVX2 identity at
+    # both register-block shapes (multi-row, and one row over several
+    # strips, so a lone query's scores equal its row of a batch) and
     # builder-equals-one-shot claims, and the snapshot streaming path
     # carries bitwise in-memory-equality claims, so the whole group must
     # hold identically under the degenerate execution config.
     echo "verify: quantized test group (${MODE_ENV:-defaults})"
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib gemm
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test simd_equivalence
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib quant
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test quant_proptests
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib quantized
