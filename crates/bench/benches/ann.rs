@@ -9,51 +9,31 @@
 //! charged to every row because a matching run builds the index once and
 //! probes once, so the quotient is the end-to-end similarity-stage
 //! speedup a `--candidates ivf` run actually sees. The resulting
-//! recall-vs-speedup curve is written to `BENCH_ann.json` and gated by
-//! `scripts/bench_gate.sh`: the gate fails when no measured row reaches
-//! recall@10 >= 0.95 at >= 5x speedup, or when the best qualifying
-//! speedup regresses more than the tolerance below the committed
-//! baseline.
+//! recall-vs-speedup curve is written to `BENCH_ann.json` ([`AnnBench`])
+//! and gated by the `bench_gate` binary (`entmatcher_bench::gate`): the
+//! gate fails when no measured row reaches recall@10 >=
+//! `gate::ANN_RECALL_FLOOR` (0.95) at >= `gate::ANN_SPEEDUP_FLOOR` (5x)
+//! speedup, or when the best qualifying speedup falls more than
+//! `gate::TOLERANCE` (20%) below the committed baseline.
 //!
 //! Modes:
 //! * default — 100k entities, d = 64 (the acceptance configuration; the
 //!   exact oracle pass alone is ~1.3 TFLOP, so expect minutes);
-//! * `ENTMATCHER_BENCH_QUICK=1` / `--test` / `--quick` — CI smoke: 2k
-//!   entities, still exercising train, sweep, JSON write and self-check.
+//! * quick ([`artifact::quick_mode`]) — CI smoke: 2k entities, still
+//!   exercising train, sweep, JSON write and self-check.
 //!
-//! Output path: `ENTMATCHER_ANN_BENCH_OUT` if set; otherwise
-//! `BENCH_ann.json` in the workspace root (quick mode defaults into the
-//! temp dir so `cargo test` runs do not dirty the tree).
+//! Output: `BENCH_ann.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
+//! in the workspace root, or the temp dir for a quick run
+//! ([`artifact::out_dir`]).
 
+use entmatcher_bench::artifact::{self, AnnBench, AnnEntry, Artifact};
 use entmatcher_core::{IvfIndex, IvfParams};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
-use entmatcher_linalg::{fused_topk, parallel, Matrix};
-use entmatcher_support::json::{self, Json, Map, ToJson};
+use entmatcher_linalg::fused_topk;
 use std::hint::black_box;
 use std::time::Instant;
 
 const K: usize = 10;
-
-/// One measured probe width.
-struct Entry {
-    nprobe: usize,
-    recall_at_10: f64,
-    probe_seconds: f64,
-    train_seconds: f64,
-    speedup: f64,
-}
-
-impl ToJson for Entry {
-    fn to_json(&self) -> Json {
-        let mut map = Map::new();
-        map.insert("nprobe", self.nprobe);
-        map.insert("recall_at_10", self.recall_at_10);
-        map.insert("probe_seconds", self.probe_seconds);
-        map.insert("train_seconds", self.train_seconds);
-        map.insert("speedup", self.speedup);
-        Json::Obj(map)
-    }
-}
 
 /// Fraction of oracle top-k pairs present in the approximate lists.
 fn recall(approx: &[Vec<(u32, f32)>], oracle: &[Vec<(u32, f32)>]) -> f64 {
@@ -71,12 +51,8 @@ fn recall(approx: &[Vec<(u32, f32)>], oracle: &[Vec<(u32, f32)>]) -> f64 {
     }
 }
 
-fn run(
-    entities: usize,
-    dim: usize,
-    clusters: usize,
-    nprobes: &[usize],
-) -> (Vec<Entry>, f64, f64, usize, Matrix, Matrix) {
+/// Builds the index, sweeps `nprobes` and returns the artifact document.
+fn run(entities: usize, dim: usize, clusters: usize, nprobes: &[usize], quick: bool) -> AnnBench {
     eprintln!("ann: generating {entities} x {dim} clustered pair ({clusters} clusters)...");
     let pair = clustered_embeddings(&EmbeddingSpec {
         entities,
@@ -110,92 +86,62 @@ fn run(
         let start = Instant::now();
         let approx = black_box(index.search(&queries, K, nprobe));
         let probe_seconds = start.elapsed().as_secs_f64();
-        let r = recall(&approx, &oracle);
+        let recall_at_10 = recall(&approx, &oracle);
         let speedup = exact_seconds / (train_seconds + probe_seconds);
         eprintln!(
-            "ann: nprobe={nprobe:4}: recall@{K}={r:.4} probe={probe_seconds:.2}s speedup={speedup:.1}x"
+            "ann: nprobe={nprobe:4}: recall@{K}={recall_at_10:.4} probe={probe_seconds:.2}s \
+             speedup={speedup:.1}x"
         );
-        entries.push(Entry {
+        entries.push(AnnEntry {
             nprobe,
-            recall_at_10: r,
+            recall_at_10,
             probe_seconds,
             train_seconds,
             speedup,
         });
     }
-    (entries, exact_seconds, train_seconds, index.nlist(), queries, target)
+    let (threads, pool_width, simd) = artifact::host();
+    AnnBench {
+        schema: AnnBench::SCHEMA.into(),
+        note: AnnBench::NOTE.into(),
+        n: queries.rows(),
+        d: target.cols(),
+        k: K,
+        nlist: index.nlist(),
+        exact_seconds,
+        train_seconds,
+        threads,
+        pool_width,
+        simd,
+        quick,
+        entries,
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1")
-        || args.iter().any(|a| a == "--test" || a == "--quick");
-
-    let out_path = std::env::var("ENTMATCHER_ANN_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            if quick {
-                std::env::temp_dir().join("BENCH_ann.json")
-            } else {
-                // cargo runs bench targets with CWD = package dir; the
-                // canonical artifact lives in the workspace root.
-                let root = std::env::var("CARGO_MANIFEST_DIR")
-                    .map(|p| {
-                        std::path::Path::new(&p)
-                            .ancestors()
-                            .nth(2)
-                            .expect("workspace root")
-                            .to_path_buf()
-                    })
-                    .unwrap_or_else(|_| std::path::PathBuf::from("."));
-                root.join("BENCH_ann.json")
-            }
-        });
-
-    let (entries, exact_seconds, train_seconds, nlist, queries, target) = if quick {
-        run(2000, 32, 50, &[1, 4, 16, 64])
+    let quick = artifact::quick_mode();
+    let doc = if quick {
+        run(2000, 32, 50, &[1, 4, 16, 64], quick)
     } else {
-        run(100_000, 64, 500, &[1, 2, 4, 8, 16, 32, 64])
+        run(100_000, 64, 500, &[1, 2, 4, 8, 16, 32, 64], quick)
     };
+    let (path, doc) = artifact::write(&doc, quick);
 
-    let mut doc = Map::new();
-    doc.insert("schema", "entmatcher/ann-bench/v1");
-    doc.insert(
-        "note",
-        "speedup = exact_seconds / (train_seconds + probe_seconds); oracle = fused_topk",
+    // Self-check: a monotone-recall sweep of finite numbers. The
+    // acceptance floor (a row with recall >= 0.95 at >= 5x) is the gate's,
+    // not asserted here — the quick smoke runs at a size where speedup is
+    // meaningless.
+    assert!(
+        !doc.entries.is_empty(),
+        "self-check: no sweep entries in artifact"
     );
-    doc.insert("n", queries.rows());
-    doc.insert("d", target.cols());
-    doc.insert("k", K);
-    doc.insert("nlist", nlist);
-    doc.insert("exact_seconds", exact_seconds);
-    doc.insert("train_seconds", train_seconds);
-    doc.insert("threads", std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    doc.insert("pool_width", parallel::workers());
-    doc.insert("simd", entmatcher_linalg::simd::active().name());
-    doc.insert("quick", quick);
-    doc.insert("entries", &entries);
-    let text = Json::Obj(doc).pretty();
-    std::fs::write(&out_path, &text).expect("write BENCH_ann.json");
-
-    // Self-check: the artifact must parse back with a monotone-recall
-    // sweep of finite numbers. The acceptance floor (a row with recall
-    // >= 0.95 at >= 5x) is asserted by bench_gate.sh, not here — the
-    // quick smoke runs at a size where speedup is meaningless.
-    let parsed = json::Json::parse(&text).expect("BENCH_ann.json must parse");
-    let rows = parsed
-        .get("entries")
-        .and_then(|e| e.as_array())
-        .expect("entries array");
-    assert!(!rows.is_empty(), "self-check: no sweep entries in artifact");
     let mut prev = 0.0f64;
-    for row in rows {
-        let r = row
-            .get("recall_at_10")
-            .and_then(|v| v.as_f64())
-            .expect("recall_at_10");
-        let s = row.get("speedup").and_then(|v| v.as_f64()).expect("speedup");
-        assert!(r.is_finite() && (0.0..=1.0).contains(&r), "self-check: bad recall {r}");
+    for e in &doc.entries {
+        let (r, s) = (e.recall_at_10, e.speedup);
+        assert!(
+            r.is_finite() && (0.0..=1.0).contains(&r),
+            "self-check: bad recall {r}"
+        );
         assert!(s.is_finite() && s > 0.0, "self-check: bad speedup {s}");
         assert!(
             r + 1e-12 >= prev,
@@ -205,7 +151,7 @@ fn main() {
     }
     println!(
         "ann bench: wrote {} ({} entries, self-check ok)",
-        out_path.display(),
-        rows.len()
+        path.display(),
+        doc.entries.len()
     );
 }

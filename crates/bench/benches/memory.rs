@@ -1,5 +1,5 @@
 //! Measured-memory benchmark: per-stage peak heap, bytes/entity, and the
-//! counting-allocator overhead — `BENCH_memory.json`.
+//! counting-allocator overhead — `BENCH_memory.json` ([`MemoryBench`]).
 //!
 //! Where the kernels bench tracks throughput, this target tracks the
 //! *memory trajectory* of the pipeline stages the paper's Figure 5 /
@@ -8,8 +8,9 @@
 //! heap next to the modeled byte estimate the `ExecutionReport` is built
 //! from, normalized to bytes per entity so two scales are comparable. A
 //! regression in bytes/entity means a stage started materializing
-//! something new — `scripts/bench_gate.sh` gates it at the same 20%
-//! tolerance as throughput.
+//! something new — the `bench_gate` binary (`entmatcher_bench::gate`)
+//! fails any (stage, n) row more than `gate::TOLERANCE` (20%) above the
+//! committed baseline.
 //!
 //! Stages, at each scale `n` (d = 64):
 //! * `gemm`        — blocked similarity product (dense n x n output);
@@ -22,7 +23,8 @@
 //! * `ivf_train` / `ivf_probe` — IVF-flat index build and search;
 //! * `pack_f32` / `pack_f16` / `pack_int8` — packed-operand footprint per
 //!   storage precision (the bytes/entity rows behind the quantization
-//!   claim: int8 must stay >= 3.5x smaller than f32, gated);
+//!   claim: int8 must stay `gate::QUANT_RATIO_FLOOR` (3.5x) smaller than
+//!   f32, gated);
 //! * `stream_pack_int8` — out-of-core snapshot pack in 256-row chunks
 //!   (aux above the packed output is O(chunk), not O(n)).
 //!
@@ -32,11 +34,12 @@
 //! floor).
 //!
 //! Modes: default — n = 2000 and 5000; `--full` — adds n = 10000 and the
-//! overhead assertion; `ENTMATCHER_BENCH_QUICK=1` / `--test` / `--quick`
-//! — one tiny scale, artifact into the temp dir. Output path:
-//! `ENTMATCHER_MEMORY_BENCH_OUT`, else `BENCH_memory.json` in the
-//! workspace root.
+//! overhead assertion; quick ([`artifact::quick_mode`]) — one tiny scale.
+//! Output: `BENCH_memory.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
+//! in the workspace root, or the temp dir for a quick run
+//! ([`artifact::out_dir`]).
 
+use entmatcher_bench::artifact::{self, Artifact, MemoryBench, MemoryEntry};
 use entmatcher_core::score::rinf::RInf;
 use entmatcher_core::score::sinkhorn::Sinkhorn;
 use entmatcher_core::score::ScoreOptimizer;
@@ -47,7 +50,6 @@ use entmatcher_linalg::{
     matmul_blocked, pack_snapshot_stream, snapshot, Matrix, PackedAny, Precision,
 };
 use entmatcher_support::alloc::{self, CountingAlloc};
-use entmatcher_support::json::{self, Json, Map, ToJson};
 use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,31 +59,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const DIM: usize = 64;
 
-/// One measured stage at one scale.
-struct Entry {
-    stage: &'static str,
-    n: usize,
-    d: usize,
-    heap_peak_bytes: u64,
-    bytes_per_entity: f64,
-    modeled_bytes: u64,
-    seconds: f64,
-}
-
-impl ToJson for Entry {
-    fn to_json(&self) -> Json {
-        let mut map = Map::new();
-        map.insert("stage", self.stage);
-        map.insert("n", self.n);
-        map.insert("d", self.d);
-        map.insert("heap_peak_bytes", self.heap_peak_bytes);
-        map.insert("bytes_per_entity", self.bytes_per_entity);
-        map.insert("modeled_bytes", self.modeled_bytes);
-        map.insert("seconds", self.seconds);
-        Json::Obj(map)
-    }
-}
-
 fn random_embeddings(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(n, d, |_, _| rng.gen::<f32>() - 0.5)
@@ -89,7 +66,7 @@ fn random_embeddings(n: usize, d: usize, seed: u64) -> Matrix {
 
 /// Runs one stage body under a counting scope and records its row.
 fn stage(
-    entries: &mut Vec<Entry>,
+    entries: &mut Vec<MemoryEntry>,
     name: &'static str,
     n: usize,
     modeled_bytes: u64,
@@ -107,8 +84,8 @@ fn stage(
         heap_peak_bytes as f64 / 1e6,
         modeled_bytes as f64 / 1e6,
     );
-    entries.push(Entry {
-        stage: name,
+    entries.push(MemoryEntry {
+        stage: name.to_string(),
         n,
         d: DIM,
         heap_peak_bytes,
@@ -118,7 +95,7 @@ fn stage(
     });
 }
 
-fn bench_scale(entries: &mut Vec<Entry>, n: usize) {
+fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
     let a = random_embeddings(n, DIM, 0xC1);
     let b = random_embeddings(n, DIM, 0xC2);
     let cell = (n * n * 4) as u64;
@@ -157,8 +134,7 @@ fn bench_scale(entries: &mut Vec<Entry>, n: usize) {
     drop(scores);
 
     // Streaming CSLS (fused cosine path): normalized copies + O(n) state.
-    let stream_model =
-        streaming_aux_bytes(n, n, 10, 1024, DIM) as u64 + (2 * n * DIM * 4) as u64;
+    let stream_model = streaming_aux_bytes(n, n, 10, 1024, DIM) as u64 + (2 * n * DIM * 4) as u64;
     stage(entries, "csls_stream", n, stream_model, || {
         black_box(streaming_csls(&a, &b, SimilarityMetric::Cosine, 10, 1024));
     });
@@ -166,8 +142,7 @@ fn bench_scale(entries: &mut Vec<Entry>, n: usize) {
     // IVF-flat: train (packed lists + k-means scratch), then probe.
     let params = IvfParams::default();
     let nlist = ((n as f64).sqrt().round() as usize).max(1);
-    let build_model =
-        (2 * n * DIM * 4 + n * nlist * 4 + n * 8 + nlist * DIM * 8) as u64;
+    let build_model = (2 * n * DIM * 4 + n * nlist * 4 + n * 8 + nlist * DIM * 8) as u64;
     let mut index = None;
     stage(entries, "ivf_train", n, build_model, || {
         index = Some(IvfIndex::build(&b, &params));
@@ -239,43 +214,21 @@ fn gemm_overhead_pct(n: usize, reps: u32) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1")
-        || args.iter().any(|a| a == "--test" || a == "--quick");
-    let full = args.iter().any(|a| a == "--full");
-
-    let out_path = std::env::var("ENTMATCHER_MEMORY_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            if quick {
-                std::env::temp_dir().join("BENCH_memory.json")
-            } else {
-                let root = std::env::var("CARGO_MANIFEST_DIR")
-                    .map(|p| {
-                        std::path::Path::new(&p)
-                            .ancestors()
-                            .nth(2)
-                            .expect("workspace root")
-                            .to_path_buf()
-                    })
-                    .unwrap_or_else(|_| std::path::PathBuf::from("."));
-                root.join("BENCH_memory.json")
-            }
-        });
+    let quick = artifact::quick_mode();
+    let full = std::env::args().any(|a| a == "--full");
 
     let mut entries = Vec::new();
-    let overhead_pct;
-    if quick {
+    let overhead_pct = if quick {
         bench_scale(&mut entries, 400);
-        overhead_pct = gemm_overhead_pct(400, 2);
+        gemm_overhead_pct(400, 2)
     } else {
         bench_scale(&mut entries, 2000);
         bench_scale(&mut entries, 5000);
         if full {
             bench_scale(&mut entries, 10_000);
         }
-        overhead_pct = gemm_overhead_pct(2000, 7);
-    }
+        gemm_overhead_pct(2000, 7)
+    };
     eprintln!("memory: counting-allocator overhead on blocked GEMM: {overhead_pct:.2}%");
     if full {
         assert!(
@@ -284,27 +237,18 @@ fn main() {
         );
     }
 
-    let mut doc = Map::new();
-    doc.insert("schema", "entmatcher/memory-bench/v1");
-    doc.insert(
-        "note",
-        "heap_peak_bytes measured by the counting allocator per stage scope; \
-         modeled_bytes is the aux_bytes-style estimate the reports use",
-    );
-    doc.insert("dim", DIM);
-    doc.insert("alloc_overhead_pct", overhead_pct);
-    doc.insert("quick", quick);
-    doc.insert("entries", &entries);
-    let text = Json::Obj(doc).pretty();
-    std::fs::write(&out_path, &text).expect("write BENCH_memory.json");
+    let doc = MemoryBench {
+        schema: MemoryBench::SCHEMA.into(),
+        note: MemoryBench::NOTE.into(),
+        dim: DIM,
+        alloc_overhead_pct: overhead_pct,
+        quick,
+        entries,
+    };
+    let (path, doc) = artifact::write(&doc, quick);
 
-    // Self-check: parse back; every stage present with a positive measured
-    // peak, and the GEMM peak covers at least its output matrix.
-    let parsed = json::Json::parse(&text).expect("BENCH_memory.json must parse");
-    let rows = parsed
-        .get("entries")
-        .and_then(|e| e.as_array())
-        .expect("entries array");
+    // Self-check: every stage present with a positive measured peak, and
+    // the GEMM peak covers at least its output matrix.
     for stage in [
         "gemm",
         "sinkhorn",
@@ -318,32 +262,23 @@ fn main() {
         "stream_pack_int8",
     ] {
         assert!(
-            rows.iter().any(|e| {
-                e.get("stage").and_then(|s| s.as_str()) == Some(stage)
-                    && e.get("heap_peak_bytes")
-                        .and_then(|v| v.as_f64())
-                        .is_some_and(|v| v > 0.0)
-            }),
+            doc.entries
+                .iter()
+                .any(|e| e.stage == stage && e.heap_peak_bytes > 0),
             "self-check: no measured '{stage}' row in artifact"
         );
     }
-    for e in rows {
-        if e.get("stage").and_then(|s| s.as_str()) == Some("gemm") {
-            let n = e.get("n").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let peak = e
-                .get("heap_peak_bytes")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            assert!(
-                peak >= n * n * 4.0,
-                "self-check: gemm peak {peak} below its own output matrix"
-            );
-        }
+    for e in doc.entries.iter().filter(|e| e.stage == "gemm") {
+        assert!(
+            e.heap_peak_bytes >= (e.n * e.n * 4) as u64,
+            "self-check: gemm peak {} below its own output matrix",
+            e.heap_peak_bytes
+        );
     }
     println!(
         "memory bench: wrote {} ({} entries, overhead {:.2}%, self-check ok)",
-        out_path.display(),
-        rows.len(),
+        path.display(),
+        doc.entries.len(),
         overhead_pct
     );
 }

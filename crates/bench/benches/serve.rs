@@ -20,27 +20,33 @@
 //!   `requests_per_conn` make connection-reuse regressions visible
 //!   directly, not just through aggregate qps.
 //!
-//! `BENCH_serve.json` (schema v2) records one row per mode with qps plus
-//! exact p50/p99 latency (computed from the sorted per-request samples,
-//! not histogram buckets); `scripts/bench_gate.sh` gates **both** rows:
-//! >=20% qps regression or p99 inflation against the committed baseline
-//! fails.
+//! `BENCH_serve.json` ([`ServeBench`], schema v2) records one row per mode
+//! with qps plus exact p50/p99 latency (computed from the sorted
+//! per-request samples, not histogram buckets). The `bench_gate` binary
+//! (`entmatcher_bench::gate`) gates **both** rows: a qps more than
+//! `gate::TOLERANCE` (20%) below the committed baseline fails, as does a p99
+//! more than 20% + `gate::SERVE_P99_SLACK_MS` (0 ms) above it, and
+//! keep-alive clients must average more than
+//! `gate::KEEPALIVE_MIN_REQUESTS_PER_CONN` (1) request per connection.
 //!
 //! Sizes:
 //! * default — 20k entities, d = 64, 8 clients x 250 requests per mode;
-//! * `ENTMATCHER_BENCH_QUICK=1` / `--test` / `--quick` — CI smoke: 2k
-//!   entities, 4 clients x 30 requests, artifact in the temp dir.
+//! * quick ([`artifact::quick_mode`]) — CI smoke: 2k entities, 4 clients x
+//!   30 requests.
 //!
-//! Output path: `ENTMATCHER_SERVE_BENCH_OUT` if set; otherwise
-//! `BENCH_serve.json` in the workspace root (quick mode defaults into the
-//! temp dir so `cargo test` runs do not dirty the tree).
+//! Output: `BENCH_serve.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
+//! in the workspace root, or the temp dir for a quick run
+//! ([`artifact::out_dir`]).
 
+use entmatcher_bench::artifact::{self, Artifact, ServeBench, ServeMode};
 use entmatcher_core::{MatchService, ServeConfig, TargetIndex};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
 use entmatcher_linalg::normalize_rows_l2;
-use entmatcher_support::json::{self, Json, Map};
+use entmatcher_support::json::Json;
 use entmatcher_support::telemetry;
-use entmatcher_support::telemetry::expose::{MetricsServer, Request, Response, Routes};
+use entmatcher_support::telemetry::expose::{
+    MetricsServer, Request, Response, Routes, ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -52,14 +58,6 @@ const K: usize = 10;
 struct Sample {
     latency: Duration,
     batch_size: u64,
-}
-
-/// Everything one load run produces: per-request samples plus the
-/// connection accounting the keep-alive mode exists to surface.
-struct ModeRun {
-    samples: Vec<Sample>,
-    wall_seconds: f64,
-    conns_opened: u64,
 }
 
 fn topk_body(ids: &[u32], k: usize) -> String {
@@ -221,14 +219,9 @@ impl KeepAliveClient {
     }
 }
 
-/// Runs the fixed-concurrency load in the given mode.
-fn drive(
-    addr: &str,
-    mode: &str,
-    clients: usize,
-    requests: usize,
-    n_source: usize,
-) -> ModeRun {
+/// Runs the fixed-concurrency load in the given mode and reduces it to
+/// the mode's artifact row.
+fn drive(addr: &str, mode: &str, clients: usize, requests: usize, n_source: usize) -> ServeMode {
     let started = Instant::now();
     let per_client: Vec<(Vec<Sample>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -237,8 +230,7 @@ fn drive(
                 let mode = mode.to_string();
                 scope.spawn(move || {
                     let mut out = Vec::with_capacity(requests);
-                    let mut keepalive =
-                        (mode == "keepalive").then(|| KeepAliveClient::new(&addr));
+                    let mut keepalive = (mode == "keepalive").then(|| KeepAliveClient::new(&addr));
                     for r in 0..requests {
                         // Distinct id pairs per request; the cache is off,
                         // so this just spreads the query rows around.
@@ -272,10 +264,30 @@ fn drive(
         samples.extend(s);
         conns_opened += c;
     }
-    ModeRun {
-        samples,
+
+    let total = samples.len();
+    let qps = total as f64 / wall_seconds;
+    let mean_batch = samples.iter().map(|s| s.batch_size as f64).sum::<f64>() / total as f64;
+    let mut sorted: Vec<Duration> = samples.iter().map(|s| s.latency).collect();
+    sorted.sort();
+    let p50_ms = percentile_ms(&sorted, 0.50);
+    let p99_ms = percentile_ms(&sorted, 0.99);
+    let requests_per_conn = total as f64 / conns_opened as f64;
+    eprintln!(
+        "serve[{mode}]: {total} requests in {wall_seconds:.2}s = {qps:.0} qps, \
+         p50 {p50_ms:.2}ms p99 {p99_ms:.2}ms, mean batch {mean_batch:.1}, \
+         {conns_opened} conns ({requests_per_conn:.1} req/conn)"
+    );
+    ServeMode {
+        mode: mode.to_string(),
+        requests: total,
         wall_seconds,
+        qps,
+        p50_ms,
+        p99_ms,
+        mean_batch,
         conns_opened,
+        requests_per_conn,
     }
 }
 
@@ -284,60 +296,8 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
     sorted[idx].as_secs_f64() * 1e3
 }
 
-/// Reduces one mode's run to its artifact row.
-fn mode_row(mode: &str, run: ModeRun) -> Map {
-    let total = run.samples.len();
-    let qps = total as f64 / run.wall_seconds;
-    let mean_batch =
-        run.samples.iter().map(|s| s.batch_size as f64).sum::<f64>() / total as f64;
-    let mut sorted: Vec<Duration> = run.samples.iter().map(|s| s.latency).collect();
-    sorted.sort();
-    let p50_ms = percentile_ms(&sorted, 0.50);
-    let p99_ms = percentile_ms(&sorted, 0.99);
-    let requests_per_conn = total as f64 / run.conns_opened as f64;
-    eprintln!(
-        "serve[{mode}]: {total} requests in {:.2}s = {qps:.0} qps, \
-         p50 {p50_ms:.2}ms p99 {p99_ms:.2}ms, mean batch {mean_batch:.1}, \
-         {} conns ({requests_per_conn:.1} req/conn)",
-        run.wall_seconds, run.conns_opened
-    );
-    let mut row = Map::new();
-    row.insert("mode", mode);
-    row.insert("requests", total);
-    row.insert("wall_seconds", run.wall_seconds);
-    row.insert("qps", qps);
-    row.insert("p50_ms", p50_ms);
-    row.insert("p99_ms", p99_ms);
-    row.insert("mean_batch", mean_batch);
-    row.insert("conns_opened", run.conns_opened);
-    row.insert("requests_per_conn", requests_per_conn);
-    row
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1")
-        || args.iter().any(|a| a == "--test" || a == "--quick");
-
-    let out_path = std::env::var("ENTMATCHER_SERVE_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            if quick {
-                std::env::temp_dir().join("BENCH_serve.json")
-            } else {
-                let root = std::env::var("CARGO_MANIFEST_DIR")
-                    .map(|p| {
-                        std::path::Path::new(&p)
-                            .ancestors()
-                            .nth(2)
-                            .expect("workspace root")
-                            .to_path_buf()
-                    })
-                    .unwrap_or_else(|_| std::path::PathBuf::from("."));
-                root.join("BENCH_serve.json")
-            }
-        });
-
+    let quick = artifact::quick_mode();
     let (entities, dim, clusters, clients, requests) = if quick {
         (2000, 32, 50, 4, 30)
     } else {
@@ -377,10 +337,10 @@ fn main() {
             })
         },
     };
-    let server = MetricsServer::start_with_routes(
+    let server = MetricsServer::start_with_config(
         telemetry::global(),
         "127.0.0.1:0",
-        Duration::from_millis(250),
+        ServerConfig::default(),
         Some(routes),
     )
     .expect("bind serve listener");
@@ -393,72 +353,50 @@ fn main() {
     }
 
     eprintln!("serve: driving {clients} clients x {requests} requests per mode (k={K})...");
-    let fresh = drive(&addr, "fresh_conn", clients, requests, n_source);
-    let keepalive = drive(&addr, "keepalive", clients, requests, n_source);
-    let total = fresh.samples.len() + keepalive.samples.len();
     let modes = vec![
-        Json::Obj(mode_row("fresh_conn", fresh)),
-        Json::Obj(mode_row("keepalive", keepalive)),
+        drive(&addr, "fresh_conn", clients, requests, n_source),
+        drive(&addr, "keepalive", clients, requests, n_source),
     ];
 
     server.shutdown();
     service.stop();
 
-    let mut doc = Map::new();
-    doc.insert("schema", "entmatcher/serve-bench/v2");
-    doc.insert(
-        "note",
-        "per-mode qps over full HTTP round trips at fixed concurrency; p50/p99 from sorted \
-         samples; cache off; fresh_conn reconnects per request, keepalive holds one socket \
-         per client",
-    );
-    doc.insert("n", entities);
-    doc.insert("d", dim);
-    doc.insert("k", K);
-    doc.insert("clients", clients);
-    doc.insert("requests_per_mode", clients * requests);
-    doc.insert("modes", Json::Arr(modes));
-    doc.insert(
-        "threads",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    );
-    doc.insert("pool_width", entmatcher_linalg::parallel::workers());
-    doc.insert("simd", entmatcher_linalg::simd::active().name());
-    doc.insert("quick", quick);
-    let text = Json::Obj(doc).pretty();
-    std::fs::write(&out_path, &text).expect("write BENCH_serve.json");
+    let (threads, pool_width, simd) = artifact::host();
+    let doc = ServeBench {
+        schema: ServeBench::SCHEMA.into(),
+        note: ServeBench::NOTE.into(),
+        n: entities,
+        d: dim,
+        k: K,
+        clients,
+        requests_per_mode: clients * requests,
+        modes,
+        threads,
+        pool_width,
+        simd,
+        quick,
+    };
+    let (path, doc) = artifact::write(&doc, quick);
 
-    // Self-check: parse back and demand finite, sane numbers per mode.
-    // Absolute thresholds live in bench_gate.sh against the committed
-    // baseline.
-    let parsed = json::Json::parse(&text).expect("BENCH_serve.json must parse");
-    let modes_back = parsed
-        .get("modes")
-        .and_then(|v| v.as_array())
-        .expect("modes array");
-    assert_eq!(modes_back.len(), 2, "two mode rows");
-    for row in modes_back {
-        let mode = row.get("mode").and_then(|v| v.as_str()).expect("mode name");
-        let qps = row.get("qps").and_then(|v| v.as_f64()).expect("qps");
-        let p99 = row.get("p99_ms").and_then(|v| v.as_f64()).expect("p99_ms");
-        let p50 = row.get("p50_ms").and_then(|v| v.as_f64()).expect("p50_ms");
-        assert!(qps.is_finite() && qps > 0.0, "self-check[{mode}]: bad qps {qps}");
+    // Self-check: two modes with finite, sane numbers. The thresholds
+    // against the committed baseline are the gate's.
+    assert_eq!(doc.modes.len(), 2, "two mode rows");
+    for row in &doc.modes {
+        let (mode, qps, p50, p99) = (&row.mode, row.qps, row.p50_ms, row.p99_ms);
+        assert!(
+            qps.is_finite() && qps > 0.0,
+            "self-check[{mode}]: bad qps {qps}"
+        );
         assert!(
             p99.is_finite() && p99 >= p50 && p50 > 0.0,
             "self-check[{mode}]: bad latency quantiles p50={p50} p99={p99}"
         );
-        let batch = row
-            .get("mean_batch")
-            .and_then(|v| v.as_f64())
-            .expect("mean_batch");
         assert!(
-            batch >= 1.0,
-            "self-check[{mode}]: every served request sits in a batch of >= 1, got {batch}"
+            row.mean_batch >= 1.0,
+            "self-check[{mode}]: every served request sits in a batch of >= 1, got {}",
+            row.mean_batch
         );
-        let per_conn = row
-            .get("requests_per_conn")
-            .and_then(|v| v.as_f64())
-            .expect("requests_per_conn");
+        let per_conn = row.requests_per_conn;
         if mode == "keepalive" {
             assert!(
                 per_conn > 1.0,
@@ -471,8 +409,9 @@ fn main() {
             );
         }
     }
+    let total: usize = doc.modes.iter().map(|m| m.requests).sum();
     println!(
         "serve bench: wrote {} ({total} requests across 2 modes, self-check ok)",
-        out_path.display()
+        path.display()
     );
 }

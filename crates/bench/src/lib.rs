@@ -6,9 +6,13 @@
 //! (`table2` … `table8`, `fig4` … `fig7`, `dlem`, `appc`, `all`); this
 //! library holds the shared machinery — configuration, dataset/embedding
 //! caches, paper reference numbers — and one module per artifact family.
+//! [`artifact`] types the committed `BENCH_*.json` perf artifacts, and
+//! [`gate`] (the `bench_gate` binary) gates fresh runs against them.
 
+pub mod artifact;
 pub mod extensions;
 pub mod figures;
+pub mod gate;
 pub mod paper;
 pub mod tables;
 

@@ -68,7 +68,7 @@ use crate::ann::{IvfIndex, IvfParams};
 use crate::error::CoreError;
 use crate::Result;
 use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision};
-use entmatcher_support::json::{Json, Map};
+use entmatcher_support::json::{FromJson, Json, Map};
 use entmatcher_support::telemetry::{self, Telemetry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -816,9 +816,10 @@ fn slow_query_line(out: &TopKResult, k: usize, cache_ns: u64, reply: Option<&Bat
 
 impl MatchService {
     /// Parses a `POST /match/topk` JSON body and answers it. Body shape:
-    /// `{"ids": [0, 1], "k": 5}` or `{"queries": [[...], [...]], "k": 5}`.
-    /// Returns the HTTP response for the expose listener; malformed
-    /// bodies get a 400 with a diagnostic.
+    /// `{"ids": [0, 1], "k": 5}` or `{"queries": [[...], [...]], "k": 5}`,
+    /// where ids are non-negative integers and `k` is a positive integer
+    /// (10 when absent). Returns the HTTP response for the expose listener;
+    /// malformed bodies get a 400 with a diagnostic.
     pub fn handle_topk(&self, body: &[u8]) -> entmatcher_support::telemetry::expose::Response {
         use entmatcher_support::telemetry::expose::Response;
         let text = match std::str::from_utf8(body) {
@@ -829,20 +830,16 @@ impl MatchService {
             Ok(d) => d,
             Err(e) => return Response::bad_request(&format!("invalid json: {e}")),
         };
-        let k = doc
-            .get("k")
-            .and_then(|v| v.as_f64())
-            .map(|v| v as usize)
-            .unwrap_or(10);
+        let k = match doc.get("k").map(usize::from_json) {
+            None => 10,
+            Some(Ok(k)) if k >= 1 => k,
+            Some(_) => return Response::bad_request("k must be a positive integer"),
+        };
         let query = if let Some(ids) = doc.get("ids").and_then(|v| v.as_array()) {
-            let mut out = Vec::with_capacity(ids.len());
-            for v in ids {
-                match v.as_f64() {
-                    Some(id) if id >= 0.0 => out.push(id as u32),
-                    _ => return Response::bad_request("ids must be non-negative integers"),
-                }
+            match ids.iter().map(u32::from_json).collect() {
+                Ok(ids) => Query::Ids(ids),
+                Err(_) => return Response::bad_request("ids must be non-negative integers"),
             }
-            Query::Ids(out)
         } else if let Some(rows) = doc.get("queries").and_then(|v| v.as_array()) {
             let mut data = Vec::new();
             let mut n = 0;
@@ -1248,6 +1245,9 @@ mod tests {
             br#"{"queries": [[1.0]]}"#,
             br#"{"queries": "x"}"#,
             br#"{"ids": [999]}"#,
+            br#"{"ids": [1.9]}"#,
+            br#"{"ids": [0], "k": 2.5}"#,
+            br#"{"ids": [0], "k": "5"}"#,
         ] {
             let resp = svc.handle_topk(bad);
             assert_eq!(resp.status, "400 Bad Request", "body: {:?}", resp.body);

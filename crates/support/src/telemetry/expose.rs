@@ -294,31 +294,6 @@ impl MetricsServer {
         Self::start_with_config(registry, addr, ServerConfig::default(), None)
     }
 
-    /// Like [`Self::start`] with an explicit `/metrics` render interval
-    /// (tests use a short one).
-    pub fn start_with_interval(
-        registry: &'static Telemetry,
-        addr: &str,
-        interval: Duration,
-    ) -> std::io::Result<MetricsServer> {
-        Self::start_with_routes(registry, addr, interval, None)
-    }
-
-    /// Like [`Self::start_with_interval`], additionally serving custom
-    /// [`Routes`] ahead of the built-in `/metrics` + `/healthz`.
-    pub fn start_with_routes(
-        registry: &'static Telemetry,
-        addr: &str,
-        interval: Duration,
-        routes: Option<Routes>,
-    ) -> std::io::Result<MetricsServer> {
-        let cfg = ServerConfig {
-            interval,
-            ..ServerConfig::default()
-        };
-        Self::start_with_config(registry, addr, cfg, routes)
-    }
-
     /// Fully-configured start: binds `addr`, spawns the blocking-accept
     /// listener and the connection-worker pool.
     pub fn start_with_config(

@@ -6,7 +6,7 @@
 use entmatcher_support::json::Json;
 use entmatcher_support::telemetry::chrome::to_chrome_string;
 use entmatcher_support::telemetry::expose::{
-    render_prometheus, MetricsServer, Response, Routes,
+    render_prometheus, MetricsServer, Response, Routes, ServerConfig,
 };
 use entmatcher_support::telemetry::profile::Profiler;
 use entmatcher_support::telemetry::Telemetry;
@@ -285,7 +285,11 @@ fn metrics_server_binds_serves_and_shuts_down() {
     let t = leaked_registry();
     t.set_enabled(true);
     t.add("lifecycle.test", 9);
-    let server = MetricsServer::start_with_interval(t, "127.0.0.1:0", Duration::from_millis(20))
+    let cfg = ServerConfig {
+        interval: Duration::from_millis(20),
+        ..ServerConfig::default()
+    };
+    let server = MetricsServer::start_with_config(t, "127.0.0.1:0", cfg, None)
         .expect("bind ephemeral port");
     let addr = server.addr();
     assert_ne!(addr.port(), 0, "port 0 must resolve to a real port");
@@ -355,13 +359,12 @@ fn server_hardening_against_real_clients() {
             }
         }),
     };
-    let server = MetricsServer::start_with_routes(
-        t,
-        "127.0.0.1:0",
-        Duration::from_millis(20),
-        Some(routes),
-    )
-    .expect("bind ephemeral port");
+    let cfg = ServerConfig {
+        interval: Duration::from_millis(20),
+        ..ServerConfig::default()
+    };
+    let server = MetricsServer::start_with_config(t, "127.0.0.1:0", cfg, Some(routes))
+        .expect("bind ephemeral port");
     let addr = server.addr();
 
     // A client asking for Connection: close gets it echoed (the

@@ -1,329 +1,28 @@
 #!/usr/bin/env sh
-# Performance gate for the similarity hot path: re-runs the kernels and
-# ANN benchmarks at full size and fails on regression against the
-# committed baseline artifacts.
-#
-# Kernels gate: best GFLOP/s of `blocked` (the runtime-dispatched SIMD
-# micro-kernel — the production hot path) and `blocked_scalar` (the
-# scalar reference, so a regression hiding under SIMD gains is still
-# caught) must stay within ENTMATCHER_BENCH_TOLERANCE_PCT (default 20)
-# percent of the `BENCH_kernels.json` baseline. The dequantize-fused
-# kernels (`blocked_f16` / `blocked_int8`) are gated the same way against
-# the baseline, plus an absolute floor: each must hold at least
-# ENTMATCHER_QUANT_GFLOPS_FLOOR_PCT (default 60) percent of the f32
-# blocked throughput measured in the same fresh run.
-#
-# ANN gate: the fresh sweep must contain at least one probe width with
-# recall@10 >= ENTMATCHER_ANN_RECALL_FLOOR (default 0.95) at speedup >=
-# ENTMATCHER_ANN_SPEEDUP_FLOOR (default 5) over the blocked-exact oracle
-# — the acceptance point of the IVF candidate path — and the best
-# qualifying speedup must stay within the tolerance of the committed
-# `BENCH_ann.json` baseline.
-#
-# Memory gate: the fresh memory bench's measured bytes/entity per
-# (stage, n) row must not exceed the committed `BENCH_memory.json`
-# baseline by more than the same tolerance — a breach means a stage
-# started materializing something new (e.g. a streaming path fell back
-# to a dense copy). Unlike throughput, the ceiling is one-sided: using
-# *less* memory never fails. The quantization storage claim is gated on
-# the same artifact: measured pack_int8 bytes/entity must stay at least
-# ENTMATCHER_QUANT_RATIO_FLOOR (default 3.5) times below pack_f32 at
-# every scale.
-#
-# Serve gate: for BOTH connection modes (`fresh_conn` and `keepalive`)
-# the fresh serving bench's qps must stay within the tolerance below the
-# committed `BENCH_serve.json` baseline row, and its p99 latency must not
-# inflate more than the tolerance above it — the online matching SLO,
-# measured over real HTTP round trips at fixed concurrency. Keep-alive is
-# the production shape; fresh_conn keeps the connect path honest.
+# Performance gate: runs the kernels, ANN, memory and serve benchmarks at
+# full size into one temporary directory, then the `bench_gate` binary,
+# which compares those artifacts with the committed BENCH_*.json baselines
+# and fails on regression. The rules and thresholds are constants in
+# crates/bench/src/gate.rs.
 #
 # This is deliberately a separate script from verify.sh: the full bench
 # takes minutes and wall-clock throughput is only meaningful on a quiet
 # machine, so the gate is for perf-sensitive changes (and dedicated perf
 # CI), not every test run.
 #
-#   sh scripts/bench_gate.sh            # gate against committed baselines
-#   ENTMATCHER_BENCH_TOLERANCE_PCT=10 sh scripts/bench_gate.sh
+#   sh scripts/bench_gate.sh
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BASELINE="BENCH_kernels.json"
-ANN_BASELINE="BENCH_ann.json"
-MEM_BASELINE="BENCH_memory.json"
-SERVE_BASELINE="BENCH_serve.json"
-TOLERANCE="${ENTMATCHER_BENCH_TOLERANCE_PCT:-20}"
-ANN_RECALL_FLOOR="${ENTMATCHER_ANN_RECALL_FLOOR:-0.95}"
-ANN_SPEEDUP_FLOOR="${ENTMATCHER_ANN_SPEEDUP_FLOOR:-5}"
+ENTMATCHER_BENCH_OUT_DIR=$(mktemp -d)
+export ENTMATCHER_BENCH_OUT_DIR
+trap 'rm -rf "$ENTMATCHER_BENCH_OUT_DIR"' EXIT
 
-[ -f "$BASELINE" ] || {
-    echo "bench_gate: baseline $BASELINE missing (run the kernels bench and commit its output)" >&2
-    exit 1
-}
-[ -f "$ANN_BASELINE" ] || {
-    echo "bench_gate: baseline $ANN_BASELINE missing (run the ann bench and commit its output)" >&2
-    exit 1
-}
-[ -f "$MEM_BASELINE" ] || {
-    echo "bench_gate: baseline $MEM_BASELINE missing (run the memory bench and commit its output)" >&2
-    exit 1
-}
-[ -f "$SERVE_BASELINE" ] || {
-    echo "bench_gate: baseline $SERVE_BASELINE missing (run the serve bench and commit its output)" >&2
-    exit 1
-}
-
-# Best GFLOP/s for one kernel name in a kernel-bench JSON artifact. The
-# format is the in-tree writer's pretty-printed output: one `"key": value`
-# pair per line, with each entry's "kernel" line preceding its "gflops"
-# line.
-max_kernel_gflops() {
-    awk -v want="$2" '
-        /"kernel":/ { kernel = $2; gsub(/[",]/, "", kernel) }
-        /"gflops":/ && kernel == want {
-            v = $2 + 0
-            if (v > max) max = v
-        }
-        END {
-            if (max <= 0) exit 1
-            print max
-        }
-    ' "$1"
-}
-
-# Best speedup among sweep rows meeting the recall floor in an ann-bench
-# JSON artifact. Same line-based format: each entry's "recall_at_10" line
-# precedes its "speedup" line.
-best_qualifying_speedup() {
-    awk -v floor="$2" '
-        /"recall_at_10":/ { r = $2 + 0 }
-        /"speedup":/ {
-            s = $2 + 0
-            if (r >= floor && s > best) best = s
-        }
-        END {
-            if (best <= 0) exit 1
-            print best
-        }
-    ' "$1"
-}
-
-# One numeric field from a named mode row of a serve-bench v2 JSON
-# artifact (the writer's pretty-printed output keeps one `"key": value`
-# pair per line, with each row's "mode" line preceding its metric lines).
-serve_mode_field() {
-    awk -v mode="$2" -v want="\"$3\":" '
-        /"mode":/ { m = $2; gsub(/[",]/, "", m) }
-        $1 == want && m == mode {
-            print $2 + 0
-            found = 1
-            exit
-        }
-        END { if (!found) exit 1 }
-    ' "$1"
-}
-
-# "stage n bytes_per_entity" triples from a memory-bench JSON artifact.
-# Same line-based format: each entry's "stage" line precedes its "n"
-# line, which precedes its "bytes_per_entity" line.
-mem_rows() {
-    awk '
-        /"stage":/ { stage = $2; gsub(/[",]/, "", stage) }
-        /"n":/ { n = $2; gsub(/[",]/, "", n) }
-        /"bytes_per_entity":/ { printf "%s %s %.1f\n", stage, n, $2 + 0 }
-    ' "$1"
-}
-
-FRESH_OUT=$(mktemp)
-ANN_FRESH_OUT=$(mktemp)
-MEM_FRESH_OUT=$(mktemp)
-SERVE_FRESH_OUT=$(mktemp)
-trap 'rm -f "$FRESH_OUT" "$ANN_FRESH_OUT" "$MEM_FRESH_OUT" "$SERVE_FRESH_OUT"' EXIT
-
-# Full-size run: QUICK must be off or the timings are meaningless.
-echo "bench_gate: running kernels bench (full size, this takes a while)..."
+# Full-size runs: QUICK must be off or the timings are meaningless.
 unset ENTMATCHER_BENCH_QUICK || true
-ENTMATCHER_KERNEL_BENCH_OUT="$FRESH_OUT" \
-    cargo bench --offline -p entmatcher-bench --bench kernels >/dev/null
-
-STATUS=0
-for KERNEL in blocked blocked_scalar blocked_f16 blocked_int8; do
-    BASE=$(max_kernel_gflops "$BASELINE" "$KERNEL") || {
-        # Older baselines predate the non-blocked kernels; only the
-        # production kernel is mandatory in the baseline.
-        if [ "$KERNEL" = "blocked" ]; then
-            echo "bench_gate: no blocked-kernel entry in $BASELINE" >&2
-            exit 1
-        fi
-        echo "bench_gate: skip $KERNEL (no entry in baseline $BASELINE)"
-        continue
-    }
-    FRESH=$(max_kernel_gflops "$FRESH_OUT" "$KERNEL") || {
-        echo "bench_gate: no $KERNEL entry in fresh bench output" >&2
-        exit 1
-    }
-    awk -v k="$KERNEL" -v fresh="$FRESH" -v base="$BASE" -v tol="$TOLERANCE" 'BEGIN {
-        floor = base * (1 - tol / 100)
-        if (fresh < floor) {
-            printf "bench_gate: FAIL: %s %.2f GFLOP/s is below the %.2f floor (baseline %.2f, tolerance %s%%)\n", k, fresh, floor, base, tol
-            exit 1
-        }
-        printf "bench_gate: ok: %s %.2f GFLOP/s vs baseline %.2f (floor %.2f, tolerance %s%%)\n", k, fresh, base, floor, tol
-    }' || STATUS=1
+for BENCH in kernels ann memory serve; do
+    echo "bench_gate: running $BENCH bench (full size, this takes a while)..."
+    cargo bench --offline -p entmatcher-bench --bench "$BENCH" >/dev/null
 done
-
-# Dequantize-fused floor: the quantized kernels must hold at least
-# QUANT_FLOOR_PCT of the f32 blocked throughput in the SAME fresh run —
-# an absolute ratio, not a baseline delta, so quantized storage can never
-# quietly become much slower than full precision.
-QUANT_FLOOR_PCT="${ENTMATCHER_QUANT_GFLOPS_FLOOR_PCT:-60}"
-FRESH_BLOCKED=$(max_kernel_gflops "$FRESH_OUT" blocked)
-for KERNEL in blocked_f16 blocked_int8; do
-    FRESH=$(max_kernel_gflops "$FRESH_OUT" "$KERNEL") || {
-        echo "bench_gate: FAIL: no $KERNEL entry in fresh bench output" >&2
-        exit 1
-    }
-    awk -v k="$KERNEL" -v fresh="$FRESH" -v blocked="$FRESH_BLOCKED" \
-        -v pct="$QUANT_FLOOR_PCT" 'BEGIN {
-        floor = blocked * pct / 100
-        if (fresh < floor) {
-            printf "bench_gate: FAIL: %s %.2f GFLOP/s is below %s%% of f32 blocked %.2f (floor %.2f)\n", k, fresh, pct, blocked, floor
-            exit 1
-        }
-        printf "bench_gate: ok: %s %.2f GFLOP/s holds %s%% of f32 blocked %.2f (floor %.2f)\n", k, fresh, pct, blocked, floor
-    }' || STATUS=1
-done
-
-# ANN gate: full-size recall-vs-speedup sweep (100k entities — the exact
-# oracle pass alone is ~1.3 TFLOP, so this is the slow half of the gate).
-echo "bench_gate: running ann bench (full size, this takes a while)..."
-ENTMATCHER_ANN_BENCH_OUT="$ANN_FRESH_OUT" \
-    cargo bench --offline -p entmatcher-bench --bench ann >/dev/null
-
-ANN_BASE=$(best_qualifying_speedup "$ANN_BASELINE" "$ANN_RECALL_FLOOR") || {
-    echo "bench_gate: no row with recall >= $ANN_RECALL_FLOOR in baseline $ANN_BASELINE" >&2
-    exit 1
-}
-ANN_FRESH=$(best_qualifying_speedup "$ANN_FRESH_OUT" "$ANN_RECALL_FLOOR") || {
-    echo "bench_gate: FAIL: no fresh sweep row reaches recall@10 >= $ANN_RECALL_FLOOR (recall-floor breach)" >&2
-    exit 1
-}
-awk -v fresh="$ANN_FRESH" -v base="$ANN_BASE" -v tol="$TOLERANCE" \
-    -v sfloor="$ANN_SPEEDUP_FLOOR" -v rfloor="$ANN_RECALL_FLOOR" 'BEGIN {
-    if (fresh < sfloor) {
-        printf "bench_gate: FAIL: ann best speedup at recall >= %s is %.2fx, below the absolute %sx floor\n", rfloor, fresh, sfloor
-        exit 1
-    }
-    floor = base * (1 - tol / 100)
-    if (fresh < floor) {
-        printf "bench_gate: FAIL: ann best speedup %.2fx is below the %.2fx floor (baseline %.2fx, tolerance %s%%)\n", fresh, floor, base, tol
-        exit 1
-    }
-    printf "bench_gate: ok: ann %.2fx at recall >= %s vs baseline %.2fx (floor %.2fx, tolerance %s%%)\n", fresh, rfloor, base, floor, tol
-}' || STATUS=1
-
-# Memory gate: measured bytes/entity per (stage, n), one-sided ceiling.
-echo "bench_gate: running memory bench (full size)..."
-ENTMATCHER_MEMORY_BENCH_OUT="$MEM_FRESH_OUT" \
-    cargo bench --offline -p entmatcher-bench --bench memory >/dev/null 2>&1
-
-mem_rows "$MEM_BASELINE" | while read -r STAGE N BASE; do
-    FRESH=$(mem_rows "$MEM_FRESH_OUT" | awk -v s="$STAGE" -v n="$N" \
-        '$1 == s && $2 == n { print $3; found = 1 } END { if (!found) exit 1 }') || {
-        echo "bench_gate: FAIL: no fresh memory row for stage=$STAGE n=$N" >&2
-        exit 1
-    }
-    awk -v s="$STAGE" -v n="$N" -v fresh="$FRESH" -v base="$BASE" -v tol="$TOLERANCE" 'BEGIN {
-        ceil = base * (1 + tol / 100)
-        if (fresh > ceil) {
-            printf "bench_gate: FAIL: %s n=%s uses %.0f B/entity, above the %.0f ceiling (baseline %.0f, tolerance %s%%)\n", s, n, fresh, ceil, base, tol
-            exit 1
-        }
-        printf "bench_gate: ok: %s n=%s %.0f B/entity vs baseline %.0f (ceiling %.0f, tolerance %s%%)\n", s, n, fresh, base, ceil, tol
-    }'
-done || STATUS=1
-
-# Quantization-ratio gate: measured pack_int8 bytes/entity must stay at
-# least QUANT_RATIO_FLOOR times below pack_f32 at every scale the fresh
-# run measured — the storage claim, gated on measured peaks rather than
-# the arithmetic d*4 / (d+4) model.
-QUANT_RATIO_FLOOR="${ENTMATCHER_QUANT_RATIO_FLOOR:-3.5}"
-mem_rows "$MEM_FRESH_OUT" | awk -v floor="$QUANT_RATIO_FLOOR" '
-    $1 == "pack_f32" { f32[$2] = $3 }
-    $1 == "pack_int8" { i8[$2] = $3 }
-    END {
-        seen = 0
-        for (n in f32) {
-            if (!(n in i8) || i8[n] <= 0) continue
-            seen = 1
-            ratio = f32[n] / i8[n]
-            if (ratio < floor) {
-                printf "bench_gate: FAIL: pack_int8 n=%s is only %.2fx smaller than pack_f32 (floor %.1fx)\n", n, ratio, floor
-                exit 1
-            }
-            printf "bench_gate: ok: pack_int8 n=%s is %.2fx smaller than pack_f32 (floor %.1fx)\n", n, ratio, floor
-        }
-        if (!seen) {
-            print "bench_gate: FAIL: no pack_f32/pack_int8 rows in fresh memory output"
-            exit 1
-        }
-    }' || STATUS=1
-
-# Serve gate: per-mode qps floor and p99 ceiling against the committed
-# baseline rows — the online matching SLO, measured over real HTTP round
-# trips. The blocking-accept listener removed the old accept-poll
-# quantization, so the p99 ceiling carries no absolute slack by default
-# (ENTMATCHER_SERVE_P99_SLACK_MS overrides for noisy machines).
-echo "bench_gate: running serve bench (full size)..."
-ENTMATCHER_SERVE_BENCH_OUT="$SERVE_FRESH_OUT" \
-    cargo bench --offline -p entmatcher-bench --bench serve >/dev/null 2>&1
-
-SERVE_P99_SLACK_MS="${ENTMATCHER_SERVE_P99_SLACK_MS:-0}"
-for MODE in fresh_conn keepalive; do
-    for FIELD in qps p99_ms; do
-        serve_mode_field "$SERVE_BASELINE" "$MODE" "$FIELD" >/dev/null || {
-            echo "bench_gate: no $MODE $FIELD entry in baseline $SERVE_BASELINE" >&2
-            exit 1
-        }
-        serve_mode_field "$SERVE_FRESH_OUT" "$MODE" "$FIELD" >/dev/null || {
-            echo "bench_gate: FAIL: no $MODE $FIELD entry in fresh serve output" >&2
-            exit 1
-        }
-    done
-    SERVE_QPS_BASE=$(serve_mode_field "$SERVE_BASELINE" "$MODE" qps)
-    SERVE_QPS_FRESH=$(serve_mode_field "$SERVE_FRESH_OUT" "$MODE" qps)
-    SERVE_P99_BASE=$(serve_mode_field "$SERVE_BASELINE" "$MODE" p99_ms)
-    SERVE_P99_FRESH=$(serve_mode_field "$SERVE_FRESH_OUT" "$MODE" p99_ms)
-    awk -v m="$MODE" -v fresh="$SERVE_QPS_FRESH" -v base="$SERVE_QPS_BASE" -v tol="$TOLERANCE" 'BEGIN {
-        floor = base * (1 - tol / 100)
-        if (fresh < floor) {
-            printf "bench_gate: FAIL: serve[%s] %.0f qps is below the %.0f floor (baseline %.0f, tolerance %s%%)\n", m, fresh, floor, base, tol
-            exit 1
-        }
-        printf "bench_gate: ok: serve[%s] %.0f qps vs baseline %.0f (floor %.0f, tolerance %s%%)\n", m, fresh, base, floor, tol
-    }' || STATUS=1
-    awk -v m="$MODE" -v fresh="$SERVE_P99_FRESH" -v base="$SERVE_P99_BASE" -v tol="$TOLERANCE" \
-        -v slack="$SERVE_P99_SLACK_MS" 'BEGIN {
-        ceil = base * (1 + tol / 100) + slack
-        if (fresh > ceil) {
-            printf "bench_gate: FAIL: serve[%s] p99 %.2fms is above the %.2fms ceiling (baseline %.2f, tolerance %s%% + %sms slack)\n", m, fresh, ceil, base, tol, slack
-            exit 1
-        }
-        printf "bench_gate: ok: serve[%s] p99 %.2fms vs baseline %.2f (ceiling %.2f, tolerance %s%% + %sms slack)\n", m, fresh, base, ceil, tol, slack
-    }' || STATUS=1
-done
-# Connection-reuse canary: keep-alive clients must actually reuse
-# sockets; a fallback to reconnect-per-request would still post decent
-# qps here but ruin real deployments.
-SERVE_RPC=$(serve_mode_field "$SERVE_FRESH_OUT" keepalive requests_per_conn) || {
-    echo "bench_gate: FAIL: no keepalive requests_per_conn in fresh serve output" >&2
-    exit 1
-}
-awk -v rpc="$SERVE_RPC" 'BEGIN {
-    if (rpc <= 1) {
-        printf "bench_gate: FAIL: keepalive mode averaged %.2f requests/connection (no reuse)\n", rpc
-        exit 1
-    }
-    printf "bench_gate: ok: keepalive mode averaged %.1f requests/connection\n", rpc
-}' || STATUS=1
-exit "$STATUS"
+cargo run --release --offline -q -p entmatcher-bench --bin bench_gate -- "$ENTMATCHER_BENCH_OUT_DIR"
