@@ -80,7 +80,7 @@ fn record(
     let mem_was = alloc::enabled();
     alloc::set_enabled(true);
     let start = Instant::now();
-    let ((), heap_peak_bytes) = alloc::measure_peak(kernel, &mut body);
+    let ((), heap_peak_bytes) = alloc::measure_peak(&mut body);
     alloc::set_enabled(mem_was);
     let mut reps = 1u32;
     while reps < max_reps && start.elapsed().as_secs_f64() <= 0.3 {

@@ -74,7 +74,7 @@ fn stage(
 ) {
     alloc::set_enabled(true);
     let start = Instant::now();
-    let ((), heap_peak_bytes) = alloc::measure_peak(name, body);
+    let ((), heap_peak_bytes) = alloc::measure_peak(body);
     let seconds = start.elapsed().as_secs_f64();
     alloc::set_enabled(false);
     let bytes_per_entity = heap_peak_bytes as f64 / n as f64;
@@ -197,7 +197,7 @@ fn gemm_overhead_pct(n: usize, reps: u32) -> f64 {
         let start = Instant::now();
         // Under a scope, so the counting path exercises attribution
         // too — the configuration ENTMATCHER_MEM runs actually pay.
-        let scope = alloc::HeapScope::open("overhead");
+        let scope = alloc::HeapScope::open();
         black_box(matmul_blocked(&a, &b).unwrap());
         scope.finish();
         let secs = start.elapsed().as_secs_f64();

@@ -57,9 +57,7 @@ fn dump_env_switches() {
         ("ENTMATCHER_TRACE_FORMAT", "trace export format (chrome|native)"),
         ("ENTMATCHER_METRICS_ADDR", "serve /metrics on this address"),
         ("ENTMATCHER_METRICS_LINGER_MS", "keep /metrics up after the command"),
-        ("ENTMATCHER_PROFILE_HZ", "--profile sampling rate"),
         ("ENTMATCHER_MEM", "counting allocator + measured heap spans"),
-        ("ENTMATCHER_MEM_SAMPLE", "--mem-profile sampling rate (1/N)"),
         ("ENTMATCHER_SLOW_MS", "serve: slow-query log threshold (ms)"),
         ("ENTMATCHER_THREADS", "worker-pool size override"),
         ("ENTMATCHER_SIMD", "SIMD kernel dispatch (off disables)"),

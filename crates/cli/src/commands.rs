@@ -12,7 +12,9 @@ use entmatcher_graph::io::{load_pair_dir, save_pair_dir};
 use entmatcher_graph::metrics::degree_profile;
 use entmatcher_graph::{DatasetStats, KgPair, Link};
 use entmatcher_linalg::{snapshot, Precision};
+use entmatcher_support::telemetry::profile;
 use entmatcher_support::{alloc, telemetry};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -57,23 +59,23 @@ impl From<std::io::Error> for CliError {
 ///   succeeds or fails, so aborted runs stay diagnosable) — as the native
 ///   JSON document, or as Chrome `trace_event` JSON when
 ///   `ENTMATCHER_TRACE_FORMAT=chrome`.
-/// - `--profile FILE` enables the registry (resetting it alongside
-///   `--trace`'s reset semantics) and runs the span-stack sampler for the
-///   command, writing collapsed-stack lines to `FILE`
-///   (`ENTMATCHER_PROFILE_HZ` overrides the 97 Hz default).
+/// - `--profile FILE` resets and enables the registry like `--trace` and,
+///   when the command ends, writes the fold of its trace to `FILE` as
+///   collapsed-stack lines weighted by self microseconds
+///   ([`telemetry::profile::fold`]).
 /// - `--metrics ADDR` (or `ENTMATCHER_METRICS_ADDR`) serves the live
 ///   registry over HTTP for the duration of the command; the bound
 ///   address is printed to stderr (port 0 picks an ephemeral port) and
 ///   the server lingers `ENTMATCHER_METRICS_LINGER_MS` after the command
 ///   so short runs stay scrapable.
-/// - `--mem-profile FILE` turns on the counting allocator and the sampled
-///   allocation profiler for the command, writing collapsed allocation
-///   stacks (span-stack names, byte-weighted) to `FILE`
-///   (`ENTMATCHER_MEM_SAMPLE` overrides the 1/61 sampling rate). With
-///   `ENTMATCHER_MEM=1` set instead, counting is on for the whole process
-///   and every telemetry span carries measured heap fields; either way
-///   telemetry recording is enabled so the measurements have spans to
-///   land on, and final `mem.*` counters are folded into the registry
+/// - `--mem-profile FILE` turns on the counting allocator for the command
+///   and resets the registry like `--trace`; when the command ends it
+///   writes the fold of the trace weighted by self allocated bytes to
+///   `FILE`, plus a `(no span)` line for the bytes allocated outside any
+///   span. With `ENTMATCHER_MEM=1` set instead, counting is on for the
+///   whole process. Either way every telemetry span carries measured heap
+///   fields, telemetry recording is enabled so the measurements have spans
+///   to land on, and final `mem.*` counters are folded into the registry
 ///   after the command (so they appear in `--trace` exports and on
 ///   `/metrics`).
 pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
@@ -90,17 +92,15 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
     let mem_was = alloc::enabled();
     if mem_profile_path.is_some() {
         alloc::set_enabled(true);
-        alloc::start_sampling(alloc::env_sample_rate());
     }
+    let allocated_before = alloc::stats().total_bytes;
     let was_enabled = telemetry::enabled();
-    if trace_path.is_some() || profile_path.is_some() {
+    let snapshot_wanted =
+        trace_path.is_some() || profile_path.is_some() || mem_profile_path.is_some();
+    if snapshot_wanted {
         telemetry::reset();
     }
-    if trace_path.is_some()
-        || profile_path.is_some()
-        || metrics_addr.is_some()
-        || alloc::enabled()
-    {
+    if snapshot_wanted || metrics_addr.is_some() || alloc::enabled() {
         telemetry::set_enabled(true);
     }
     let server = match &metrics_addr {
@@ -112,9 +112,6 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
         }
         None => None,
     };
-    let profiler = profile_path.as_ref().map(|_| {
-        telemetry::profile::Profiler::start(telemetry::global(), telemetry::profile::env_profile_hz())
-    });
 
     let result = dispatch(args);
 
@@ -128,32 +125,26 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
     }
 
     let mut notes = Vec::new();
-    if let Some(path) = &mem_profile_path {
-        let profile = alloc::stop_sampling();
-        std::fs::write(path, profile.to_folded())?;
+    let allocated = alloc::stats().total_bytes.saturating_sub(allocated_before);
+    let trace = snapshot_wanted.then(telemetry::snapshot);
+    if let (Some(path), Some(trace)) = (&mem_profile_path, &trace) {
+        let mut stacks = profile::fold(trace, profile::Weight::HeapBytes);
+        let in_spans = stacks.values().fold(0u64, |sum, &w| sum.saturating_add(w));
+        if allocated > in_spans {
+            stacks.insert("(no span)".to_owned(), allocated - in_spans);
+        }
         alloc::set_enabled(mem_was);
-        notes.push(format!(
-            "memory profile written to {} ({} samples at rate 1/{})",
-            path.display(),
-            profile.total_samples(),
-            profile.rate
-        ));
+        notes.push(write_profile("memory profile", path, &stacks, "B")?);
     }
-    if let (Some(profiler), Some(path)) = (profiler, &profile_path) {
-        let profile = profiler.stop();
-        std::fs::write(path, profile.to_folded())?;
-        notes.push(format!(
-            "profile written to {} ({} samples)",
-            path.display(),
-            profile.samples
-        ));
+    if let (Some(path), Some(trace)) = (&profile_path, &trace) {
+        let stacks = profile::fold(trace, profile::Weight::Micros);
+        notes.push(write_profile("profile", path, &stacks, "us")?);
     }
-    if let Some(path) = &trace_path {
-        let trace = telemetry::snapshot();
+    if let (Some(path), Some(trace)) = (&trace_path, &trace) {
         let text = match telemetry::chrome::env_format() {
-            telemetry::chrome::TraceFormat::Chrome => telemetry::chrome::to_chrome_string(&trace),
+            telemetry::chrome::TraceFormat::Chrome => telemetry::chrome::to_chrome_string(trace),
             telemetry::chrome::TraceFormat::Native => {
-                entmatcher_support::json::to_string_pretty(&trace)
+                entmatcher_support::json::to_string_pretty(trace)
             }
         };
         std::fs::write(path, text)?;
@@ -169,6 +160,22 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         result.map(|report| format!("{report}\n{}", notes.join("\n")))
     }
+}
+
+/// Writes folded stacks to `path` and returns the report line naming it.
+fn write_profile(
+    what: &str,
+    path: &Path,
+    stacks: &BTreeMap<String, u64>,
+    unit: &str,
+) -> Result<String, CliError> {
+    std::fs::write(path, profile::to_folded(stacks))?;
+    let total = stacks.values().fold(0u64, |sum, &w| sum.saturating_add(w));
+    Ok(format!(
+        "{what} written to {} ({} stacks, {total} {unit})",
+        path.display(),
+        stacks.len()
+    ))
 }
 
 fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {

@@ -102,10 +102,11 @@ observability:
                      the command and export it to FILE as JSON. With
                      ENTMATCHER_TRACE_FORMAT=chrome the export is Chrome
                      trace_event JSON instead of the native document.
-    --profile FILE   Sample every thread's open span stack while the
-                     command runs and write collapsed ('folded') stacks
-                     to FILE for flamegraph tooling. Sampling rate via
-                     ENTMATCHER_PROFILE_HZ (default 97).
+    --profile FILE   Record the command's spans and, when it ends,
+                     write them to FILE as collapsed ('folded') stacks
+                     for flamegraph tooling, each weighted by its self
+                     time in microseconds (the span's duration minus its
+                     children's on the same thread).
     --metrics ADDR   Serve live Prometheus metrics on ADDR (e.g.
                      127.0.0.1:9184; port 0 picks one) for the duration
                      of the command: curl http://ADDR/metrics. The bound
@@ -115,12 +116,12 @@ observability:
                      RSS is always exported; heap gauges appear when
                      ENTMATCHER_MEM counting is on.
     --mem-profile FILE
-                     Turn on the counting allocator and write a sampled
-                     allocation profile as collapsed stacks (span-stack
-                     names weighted by estimated bytes) to FILE —
-                     flamegraph.pl / speedscope render it directly.
-                     ENTMATCHER_MEM_SAMPLE sets the sampling rate
-                     (sample every Nth allocation, default 61).
+                     Turn on the counting allocator and write the
+                     command's spans to FILE as collapsed stacks weighted
+                     by the bytes each allocated itself (its
+                     heap_allocated minus its children's), plus a
+                     '(no span)' line for bytes allocated outside any
+                     span — flamegraph.pl / speedscope render it directly.
   Alternatively set ENTMATCHER_TRACE=FILE to record the whole process and
   dump the trace at exit, or ENTMATCHER_TRACE=1 to record without dumping.
   Unset (or 0), telemetry is off and costs one atomic load per site.

@@ -1,6 +1,7 @@
 //! End-to-end flight-recorder tests against the real `entmatcher` binary:
 //! live metrics scraped over HTTP while a command runs, Chrome trace
-//! export selected by environment, and the `--profile` sampler. Each test
+//! export selected by environment, and the folded `--profile` and
+//! `--mem-profile` files. Each test
 //! spawns a child process, so environment variables and the global
 //! telemetry registry never race with other tests in this process.
 
@@ -184,47 +185,77 @@ fn trace_format_env_switches_export_to_chrome() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-#[test]
-fn profile_flag_writes_collapsed_stacks() {
-    let (root, data, emb) = setup("profile");
+/// Runs one `match` with an extra profile flag writing to `file`, checks
+/// the report line and the folded file's shape, and returns the file's
+/// `(stack, weight)` lines.
+fn folded_profile(tag: &str, flag: &str, note: &str) -> (Vec<(String, u64)>, PathBuf, PathBuf) {
+    let (root, data, emb) = setup(tag);
     let pairs = root.join("pairs.tsv");
     let folded = root.join("profile.folded");
-    // A tiny match can finish between two sampler ticks on a loaded CI
-    // machine even at a high rate, so allow a few attempts before
-    // demanding a pipeline stack.
-    let mut text = String::new();
-    for attempt in 0..5 {
-        let output = Command::new(BIN)
-            .args(match_args(&data, &emb, &pairs))
-            .args(["--profile", folded.to_str().unwrap()])
-            // Sample fast so even a quick command yields stacks.
-            .env("ENTMATCHER_PROFILE_HZ", "2000")
-            .output()
-            .expect("spawn entmatcher");
-        assert!(
-            output.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let report = String::from_utf8_lossy(&output.stdout);
-        assert!(report.contains("profile written to"), "report: {report}");
-        text = std::fs::read_to_string(&folded).expect("folded profile written");
-        if text.lines().any(|l| l.starts_with("pipeline")) {
-            break;
-        }
-        eprintln!("attempt {attempt}: no pipeline stacks sampled, retrying");
-    }
-
-    // Every line of the folded file is `frames count` with `;`-joined
-    // frame names; the pipeline span should dominate the samples.
-    for line in text.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line shape");
-        assert!(!stack.is_empty());
-        assert!(count.parse::<u64>().unwrap() > 0, "bad count in {line:?}");
-    }
+    let output = Command::new(BIN)
+        .args(match_args(&data, &emb, &pairs))
+        .args([flag, folded.to_str().unwrap()])
+        .output()
+        .expect("spawn entmatcher");
     assert!(
-        text.lines().any(|l| l.starts_with("pipeline")),
-        "no pipeline stacks sampled:\n{text}"
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = String::from_utf8_lossy(&output.stdout);
+    assert!(report.contains(note), "report: {report}");
+    // Every line is `frames weight` with `;`-joined frame names and a
+    // positive weight.
+    let text = std::fs::read_to_string(&folded).expect("folded profile written");
+    let lines = text
+        .lines()
+        .map(|line| {
+            let (stack, weight) = line.rsplit_once(' ').expect("folded line shape");
+            assert!(!stack.is_empty());
+            let weight = weight.parse::<u64>().unwrap();
+            assert!(weight > 0, "bad weight in {line:?}");
+            (stack.to_owned(), weight)
+        })
+        .collect();
+    (lines, root, data)
+}
+
+/// `--profile FILE` folds the command's own trace, so even a match that
+/// takes a few milliseconds writes its pipeline stacks on the first run.
+#[test]
+fn profile_flag_writes_collapsed_stacks() {
+    let (lines, root, _) = folded_profile("profile", "--profile", "profile written to");
+    assert!(
+        lines.iter().any(|(stack, _)| stack == "pipeline;similarity"),
+        "no pipeline;similarity stack: {lines:?}"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `--mem-profile FILE` charges the score matrix, one allocation of
+/// n_s * n_t f32 cells, to the similarity stage that allocates it.
+#[test]
+fn mem_profile_flag_charges_the_score_matrix_to_similarity() {
+    let (lines, root, data) =
+        folded_profile("memprofile", "--mem-profile", "memory profile written to");
+    // The candidate split depends on the generator seed, as in `match`.
+    let spec = std::fs::read_to_string(data.join("spec.json")).unwrap();
+    let seed = entmatcher_support::json::from_str::<entmatcher_data::PairSpec>(&spec)
+        .unwrap()
+        .seed;
+    let pair = entmatcher_graph::io::load_pair_dir(&data, seed).unwrap();
+    let task = entmatcher_eval::MatchTask::from_pair(&pair);
+    let matrix_bytes = (task.num_sources() * task.num_targets() * 4) as u64;
+    let similarity: u64 = lines
+        .iter()
+        .filter(|(stack, _)| {
+            stack == "pipeline;similarity" || stack.starts_with("pipeline;similarity;")
+        })
+        .map(|(_, weight)| weight)
+        .sum();
+    assert!(
+        similarity >= matrix_bytes,
+        "similarity charged {similarity} B, below the {matrix_bytes} B score matrix: {lines:?}"
     );
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -328,45 +359,6 @@ fn mem_env_measures_heap_across_trace_report_and_metrics() {
     assert!(
         rendered.contains("heap peak"),
         "trace render must show measured heap: {rendered}"
-    );
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-/// `--mem-profile FILE` writes a non-empty folded allocation profile whose
-/// stacks are span-stack names with positive byte weights.
-#[test]
-fn mem_profile_flag_writes_folded_allocation_stacks() {
-    let (root, data, emb) = setup("memprofile");
-    let pairs = root.join("pairs.tsv");
-    let folded = root.join("alloc.folded");
-    let output = Command::new(BIN)
-        .args(match_args(&data, &emb, &pairs))
-        .args(["--mem-profile", folded.to_str().unwrap()])
-        // Sample every allocation so even a tiny run is deterministic.
-        .env("ENTMATCHER_MEM_SAMPLE", "1")
-        .output()
-        .expect("spawn entmatcher");
-    assert!(
-        output.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let report = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        report.contains("memory profile written to"),
-        "report: {report}"
-    );
-
-    let text = std::fs::read_to_string(&folded).expect("folded profile written");
-    assert!(!text.trim().is_empty(), "folded profile must not be empty");
-    for line in text.lines() {
-        let (stack, bytes) = line.rsplit_once(' ').expect("folded line shape");
-        assert!(!stack.is_empty());
-        assert!(bytes.parse::<u64>().unwrap() > 0, "bad weight in {line:?}");
-    }
-    assert!(
-        text.lines().any(|l| l.starts_with("pipeline")),
-        "no pipeline allocation stacks:\n{text}"
     );
     std::fs::remove_dir_all(&root).unwrap();
 }

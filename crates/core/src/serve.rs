@@ -521,6 +521,7 @@ impl MatchService {
                 }
             }
         }
+        let cached: Vec<bool> = results.iter().map(Option::is_some).collect();
         let hits = n_rows - miss_rows.len();
         drop(cache_span);
         let cache_ns = cache_started.elapsed().as_nanos() as u64;
@@ -585,7 +586,6 @@ impl MatchService {
 
         drop(root);
         let elapsed = started.elapsed();
-        let cached: Vec<bool> = (0..n_rows).map(|r| !miss_rows.contains(&r)).collect();
         let out = TopKResult {
             req_id,
             results: results.into_iter().map(|r| r.expect("every row answered")).collect(),
@@ -968,7 +968,19 @@ mod tests {
         let third = svc.top_k(&Query::Ids(vec![2]), 4).unwrap();
         assert_eq!(third.cached, vec![false]);
         assert_eq!(svc.cache_len(), 2);
+        // One request mixing cached and uncached ids: the flags follow the
+        // rows, and the answers equal a cache-off service's.
+        let mixed = svc.top_k(&Query::Ids(vec![2, 5, 2]), 3).unwrap();
+        assert_eq!(mixed.cached, vec![true, false, true]);
         svc.stop();
+        let uncached = toy_service(ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        });
+        let fresh = uncached.top_k(&Query::Ids(vec![2, 5, 2]), 3).unwrap();
+        assert_eq!(fresh.cached, vec![false, false, false]);
+        assert_eq!(mixed.results, fresh.results);
+        uncached.stop();
     }
 
     #[test]

@@ -49,9 +49,9 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Measured peak live heap of `f`, in bytes.
-fn measured<T>(name: &str, f: impl FnOnce() -> T) -> u64 {
+fn measured<T>(f: impl FnOnce() -> T) -> u64 {
     alloc::set_enabled(true);
-    let (out, peak) = alloc::measure_peak(name, f);
+    let (out, peak) = alloc::measure_peak(f);
     alloc::set_enabled(false);
     black_box(out);
     peak
@@ -70,7 +70,7 @@ fn gemm_measured_peak_within_envelope() {
     let a = random_embeddings(256, 64, 1);
     let b = random_embeddings(320, 64, 2);
     let out_bytes = (a.rows() * b.rows() * 4) as u64;
-    let peak = measured("mem.gemm", || matmul_blocked(&a, &b).unwrap());
+    let peak = measured(|| matmul_blocked(&a, &b).unwrap());
     assert!(
         peak >= out_bytes,
         "the result matrix alone is {out_bytes} B; measured only {peak}"
@@ -95,7 +95,7 @@ fn sinkhorn_measured_aux_is_in_place() {
     let model = opt.aux_bytes(n, n) as u64;
     // The score matrix is allocated *before* the scope opens, so the scope
     // sees only the stage's true auxiliary allocations.
-    let peak = measured("mem.sinkhorn", || opt.apply(scores));
+    let peak = measured(|| opt.apply(scores));
     assert!(peak > 0, "the column-sum vector must be visible");
     assert!(
         peak <= 8 * model + 128 << 10,
@@ -117,7 +117,7 @@ fn hungarian_measured_aux_is_linear_for_every_shape() {
         let scores = random_embeddings(n_s, n_t, 5);
         let matrix_bytes = (n_s * n_t * 4) as u64;
         let model = Hungarian.aux_bytes(n_s, n_t) as u64;
-        let peak = measured("mem.hungarian", || {
+        let peak = measured(|| {
             Hungarian.run(&scores, &MatchContext::default())
         });
         assert!(
@@ -139,12 +139,12 @@ fn rinf_variants_measured_against_their_models() {
     let _lock = locked();
     let n = 300usize;
     let cell = (n * n * 4) as u64;
-    let run = |opt: RInf, tag: &str| {
+    let run = |opt: RInf| {
         let scores = random_embeddings(n, n, 4);
-        measured(tag, || opt.apply(scores))
+        measured(|| opt.apply(scores))
     };
-    let full = run(RInf::default(), "mem.rinf");
-    let wr = run(RInf::without_ranking(), "mem.rinf_wr");
+    let full = run(RInf::default());
+    let wr = run(RInf::without_ranking());
     // wr: one output cell + O(n) vectors (model says (n_s+n_t)*4 aux).
     let wr_model = cell + RInf::without_ranking().aux_bytes(n, n) as u64;
     assert!(wr >= cell, "RInf-wr must allocate its output: {wr} B");
@@ -174,7 +174,7 @@ fn streaming_csls_measured_linear_in_n() {
         let t = random_embeddings(n, d, seed + 1);
         // Distance metric: the strip-at-a-time path whose footprint
         // streaming_aux_bytes models directly.
-        measured("mem.csls_stream", || {
+        measured(|| {
             streaming_csls(&s, &t, SimilarityMetric::Euclidean, k, block)
         })
     };
@@ -219,7 +219,7 @@ fn ivf_train_and_probe_within_envelope() {
     };
     alloc::set_enabled(true);
     let (index, build_peak) =
-        alloc::measure_peak("mem.ivf_train", || IvfIndex::build(&t, &params));
+        alloc::measure_peak(|| IvfIndex::build(&t, &params));
     alloc::set_enabled(false);
     // Packed members (~n*d*4 twice: select_rows copy + packed strips),
     // k-means assignment scratch (n*nlist*4), ids and centroid copies.
@@ -235,7 +235,7 @@ fn ivf_train_and_probe_within_envelope() {
     );
 
     let queries = random_embeddings(500, d, 10);
-    let probe_peak = measured("mem.ivf_probe", || {
+    let probe_peak = measured(|| {
         black_box(index.search(&queries, 10, params.nprobe))
     });
     let dense = (queries.rows() * n * 4) as u64;
@@ -260,16 +260,16 @@ fn quantized_pack_measured_peak_shrinks_with_element_width() {
     let _lock = locked();
     let (n, d) = (4093usize, 64usize);
     let t = random_embeddings(n, d, 21);
-    let run = |precision: Precision, tag: &str| {
+    let run = |precision: Precision| {
         alloc::set_enabled(true);
-        let (packed, peak) = alloc::measure_peak(tag, || PackedAny::pack(&t, precision));
+        let (packed, peak) = alloc::measure_peak(|| PackedAny::pack(&t, precision));
         alloc::set_enabled(false);
         let bytes = packed.packed_bytes() as u64;
         black_box(packed);
         (bytes, peak)
     };
-    let (f32_bytes, f32_peak) = run(Precision::F32, "mem.pack_f32");
-    let (i8_bytes, i8_peak) = run(Precision::Int8, "mem.pack_int8");
+    let (f32_bytes, f32_peak) = run(Precision::F32);
+    let (i8_bytes, i8_peak) = run(Precision::Int8);
     // Each pack's peak covers its own buffer and little more.
     assert!(f32_peak >= f32_bytes, "packed f32 buffer must be measurable");
     assert!(i8_peak >= i8_bytes, "packed int8 buffer must be measurable");
@@ -308,7 +308,7 @@ fn snapshot_stream_pack_peaks_at_chunk_not_matrix() {
     drop(t);
 
     alloc::set_enabled(true);
-    let (packed, peak) = alloc::measure_peak("mem.stream_pack_int8", || {
+    let (packed, peak) = alloc::measure_peak(|| {
         pack_snapshot_stream(&path, Precision::Int8, chunk).unwrap()
     });
     alloc::set_enabled(false);

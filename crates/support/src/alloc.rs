@@ -1,6 +1,5 @@
 //! Measured memory observability: a counting [`GlobalAlloc`] wrapper with
-//! per-scope heap attribution, RSS sampling, and a sampled allocation-site
-//! profiler.
+//! per-scope heap attribution and a resident-set-size reader.
 //!
 //! The paper ranks matchers by *measured* peak memory (Table 6, Figure 5)
 //! as much as by wall time, but until this module the workspace only
@@ -16,11 +15,9 @@
 //!   enclosing scope, so attribution is *inclusive*, mirroring the span
 //!   tree). `telemetry::span` opens one per span when measurement is on,
 //!   which is how trace spans gain measured `heap_allocated` /
-//!   `heap_live_peak` fields alongside their modeled `bytes`.
-//! - A **sampled allocation profiler**: every Nth allocation per thread
-//!   records the open scope names as a collapsed stack weighted by
-//!   `size * N` (an unbiased estimate of bytes allocated at that stack),
-//!   drained by [`stop_sampling`] into flamegraph-ready folded lines.
+//!   `heap_live_peak` fields alongside their modeled `bytes`, and what
+//!   `--mem-profile` folds into allocation flamegraphs
+//!   ([`crate::telemetry::profile`]).
 //! - [`rss_bytes`] — resident set size from `/proc/self/statm` (`None`
 //!   off Linux), so `/metrics` always has a process memory gauge even
 //!   when counting is off.
@@ -59,28 +56,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, UnsafeCell};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment variable turning allocation counting on (any non-empty
 /// value other than `0`).
 pub const ENV_MEM: &str = "ENTMATCHER_MEM";
 
-/// Environment variable setting the allocation-profiler sampling rate
-/// (sample every Nth allocation per thread).
-pub const ENV_SAMPLE: &str = "ENTMATCHER_MEM_SAMPLE";
-
-/// Default sampling rate when `ENTMATCHER_MEM_SAMPLE` is unset: every
-/// 61st allocation per thread (prime, so strided allocation patterns do
-/// not alias with the sampling period).
-pub const DEFAULT_SAMPLE_RATE: u64 = 61;
-
 /// Maximum number of simultaneously open heap scopes per thread that
 /// receive attribution.
 pub const MAX_SCOPE_DEPTH: usize = 32;
-
-const MAX_SCOPE_NAME: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Enable state
@@ -190,38 +175,12 @@ pub fn reset_peak() {
 
 /// One attribution cell, shared between the opening guard and the
 /// thread-local scope stack.
+#[derive(Default)]
 pub struct ScopeCell {
     allocated: AtomicU64,
     allocs: AtomicU64,
     live: AtomicI64,
     peak: AtomicI64,
-    name_len: u8,
-    name: [u8; MAX_SCOPE_NAME],
-}
-
-impl ScopeCell {
-    fn new(name: &str) -> ScopeCell {
-        let mut buf = [0u8; MAX_SCOPE_NAME];
-        // Truncate on a character boundary so the stored name is valid
-        // UTF-8 even for long non-ASCII names.
-        let mut len = name.len().min(MAX_SCOPE_NAME);
-        while len > 0 && !name.is_char_boundary(len) {
-            len -= 1;
-        }
-        buf[..len].copy_from_slice(&name.as_bytes()[..len]);
-        ScopeCell {
-            allocated: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            live: AtomicI64::new(0),
-            peak: AtomicI64::new(0),
-            name_len: len as u8,
-            name: buf,
-        }
-    }
-
-    fn name(&self) -> &str {
-        std::str::from_utf8(&self.name[..self.name_len as usize]).unwrap_or("?")
-    }
 }
 
 /// What a [`HeapScope`] measured over its lifetime.
@@ -270,11 +229,11 @@ pub struct HeapScope {
 impl HeapScope {
     /// Opens a scope on the calling thread. When counting is off the
     /// scope is inert and all stats read zero.
-    pub fn open(name: &str) -> HeapScope {
+    pub fn open() -> HeapScope {
         if !counting() {
             return HeapScope { cell: None };
         }
-        let cell = Arc::new(ScopeCell::new(name));
+        let cell = Arc::new(ScopeCell::default());
         let pushed = SCOPES
             .try_with(|stack| {
                 let depth = stack.depth.get();
@@ -361,157 +320,10 @@ impl Drop for HeapScope {
 /// Runs `f` under a heap scope and returns its result together with the
 /// scope's measured peak live bytes. Returns a zero peak when counting is
 /// off.
-pub fn measure_peak<T>(name: &str, f: impl FnOnce() -> T) -> (T, u64) {
-    let scope = HeapScope::open(name);
+pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let scope = HeapScope::open();
     let out = f();
     (out, scope.finish().live_peak)
-}
-
-// ---------------------------------------------------------------------------
-// Sampled allocation profiler
-// ---------------------------------------------------------------------------
-
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(0);
-static SAMPLES: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
-
-struct SampleTls {
-    // Allocations until the next sample on this thread. Starts at 1 so
-    // every thread's first allocation is sampled — short runs still
-    // produce output.
-    countdown: Cell<u64>,
-    // True while this thread is inside `record_sample`, whose own
-    // allocations (key string, map rebalancing) must not recurse into it.
-    busy: Cell<bool>,
-}
-
-thread_local! {
-    static SAMPLE_TLS: SampleTls = const {
-        SampleTls {
-            countdown: Cell::new(1),
-            busy: Cell::new(false),
-        }
-    };
-}
-
-/// The `ENTMATCHER_MEM_SAMPLE` setting, clamped to `>= 1`;
-/// [`DEFAULT_SAMPLE_RATE`] when unset or unparsable.
-pub fn env_sample_rate() -> u64 {
-    std::env::var(ENV_SAMPLE)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(DEFAULT_SAMPLE_RATE)
-}
-
-/// Starts (or restarts) the allocation-site profiler: every `rate`-th
-/// allocation per thread records the open heap-scope names as a collapsed
-/// stack. Clears previously collected samples. Counting must also be on
-/// for samples to accumulate.
-pub fn start_sampling(rate: u64) {
-    SAMPLES.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    SAMPLE_EVERY.store(rate.max(1), Ordering::Relaxed);
-}
-
-/// Stops the profiler and drains the collected samples.
-pub fn stop_sampling() -> MemProfile {
-    let rate = SAMPLE_EVERY.swap(0, Ordering::Relaxed);
-    let sites = std::mem::take(&mut *SAMPLES.lock().unwrap_or_else(|e| e.into_inner()));
-    MemProfile {
-        rate: rate.max(1),
-        sites: sites
-            .into_iter()
-            .map(|(stack, (samples, bytes_est))| MemSite {
-                stack,
-                samples,
-                bytes_est,
-            })
-            .collect(),
-    }
-}
-
-/// One sampled allocation site: a `;`-joined stack of heap-scope names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemSite {
-    /// Collapsed stack (outermost scope first), `(no span)` when no scope
-    /// was open on the allocating thread.
-    pub stack: String,
-    /// Number of sampled allocations at this stack.
-    pub samples: u64,
-    /// Estimated bytes allocated at this stack (`sum(size) * rate`).
-    pub bytes_est: u64,
-}
-
-/// The allocation-site profile drained by [`stop_sampling`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemProfile {
-    /// The sampling rate the profile was collected at.
-    pub rate: u64,
-    /// Sites sorted by stack name.
-    pub sites: Vec<MemSite>,
-}
-
-impl MemProfile {
-    /// Total sampled allocations.
-    pub fn total_samples(&self) -> u64 {
-        self.sites.iter().map(|s| s.samples).sum()
-    }
-
-    /// Renders collapsed-stack lines (`a;b;c bytes`), the input format of
-    /// flamegraph tooling; weights are estimated bytes so flame width is
-    /// proportional to allocation volume, not count.
-    pub fn to_folded(&self) -> String {
-        crate::telemetry::profile::folded(
-            self.sites
-                .iter()
-                .map(|site| (site.stack.as_str(), site.bytes_est)),
-        )
-    }
-}
-
-#[inline]
-fn maybe_sample(size: usize) {
-    let every = SAMPLE_EVERY.load(Ordering::Relaxed);
-    if every == 0 {
-        return;
-    }
-    let _ = SAMPLE_TLS.try_with(|tls| {
-        if tls.busy.get() {
-            return;
-        }
-        let c = tls.countdown.get();
-        if c > 1 {
-            tls.countdown.set(c - 1);
-            return;
-        }
-        tls.countdown.set(every);
-        tls.busy.set(true);
-        record_sample(size as u64, every);
-        tls.busy.set(false);
-    });
-}
-
-fn record_sample(size: u64, every: u64) {
-    // Key assembly reads only this thread's scope stack — no telemetry
-    // lock, and the allocations it performs are shielded by the TLS busy
-    // flag.
-    let mut key = String::new();
-    let _ = SCOPES.try_with(|stack| {
-        let depth = stack.depth.get();
-        let slots = unsafe { &*stack.slots.get() };
-        for &ptr in &slots[..depth] {
-            if !key.is_empty() {
-                key.push(';');
-            }
-            key.push_str(unsafe { &*ptr }.name());
-        }
-    });
-    if key.is_empty() {
-        key.push_str("(no span)");
-    }
-    let mut table = SAMPLES.lock().unwrap_or_else(|e| e.into_inner());
-    let entry = table.entry(key).or_insert((0, 0));
-    entry.0 += 1;
-    entry.1 += size * every;
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +375,6 @@ fn on_alloc(size: usize) {
             cell.peak.fetch_max(live, Ordering::Relaxed);
         }
     });
-    maybe_sample(size);
 }
 
 #[inline]
@@ -629,26 +440,15 @@ mod tests {
     // tests drive the hooks directly. End-to-end behavior under a real
     // `#[global_allocator]` lives in `tests/alloc.rs` / `tests/alloc_off.rs`.
     //
-    // Tests that flip the global enable switch (or share the sample table)
-    // serialize on this lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn scope_cell_names_truncate_on_char_boundaries() {
-        let long = "x".repeat(100);
-        let cell = ScopeCell::new(&long);
-        assert_eq!(cell.name().len(), MAX_SCOPE_NAME);
-        let multi = format!("{}é", "x".repeat(MAX_SCOPE_NAME - 1));
-        let cell = ScopeCell::new(&multi);
-        assert_eq!(cell.name(), &multi[..MAX_SCOPE_NAME - 1]);
-    }
+    // Tests that flip the global enable switch serialize on this lock.
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn scopes_attribute_inclusively_and_pop_out_of_order() {
         let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
-        let outer = HeapScope::open("outer");
-        let inner = HeapScope::open("inner");
+        let outer = HeapScope::open();
+        let inner = HeapScope::open();
         on_alloc(1000);
         // Inclusive: both open scopes see the allocation.
         assert_eq!(outer.allocated(), 1000);
@@ -672,8 +472,8 @@ mod tests {
         let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let mut scopes = Vec::new();
-        for i in 0..MAX_SCOPE_DEPTH + 4 {
-            scopes.push(HeapScope::open(&format!("s{i}")));
+        for _ in 0..MAX_SCOPE_DEPTH + 4 {
+            scopes.push(HeapScope::open());
         }
         on_alloc(8);
         // The overflowed scopes are inert, the attributed ones saw the
@@ -683,33 +483,6 @@ mod tests {
         drop(scopes);
         SCOPES.with(|s| assert_eq!(s.depth.get(), 0));
         set_enabled(false);
-    }
-
-    #[test]
-    fn sampling_estimates_bytes_by_rate() {
-        let _lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        let _scope = HeapScope::open("stage");
-        start_sampling(4);
-        SAMPLE_TLS.with(|t| t.countdown.set(1));
-        for _ in 0..8 {
-            maybe_sample(100);
-        }
-        let profile = stop_sampling();
-        assert_eq!(profile.rate, 4);
-        assert_eq!(profile.total_samples(), 2, "8 events at rate 4");
-        let site = &profile.sites[0];
-        assert!(site.stack.ends_with("stage"), "stack: {}", site.stack);
-        assert_eq!(site.bytes_est, 2 * 100 * 4);
-        let folded = profile.to_folded();
-        assert!(folded.contains("stage 800"), "folded: {folded}");
-        set_enabled(false);
-    }
-
-    #[test]
-    fn env_sample_rate_parses_and_defaults() {
-        // Not a parallel-safe env mutation target: read-only default path.
-        assert!(env_sample_rate() >= 1);
     }
 
     #[test]

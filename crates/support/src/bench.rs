@@ -130,7 +130,7 @@ impl Group<'_> {
             // Quick mode must execute the body exactly once; when counting
             // is on that single run doubles as the memory pass.
             let heap_peak_bytes = if crate::alloc::enabled() {
-                crate::alloc::measure_peak(&full, || black_box(body())).1
+                crate::alloc::measure_peak(|| black_box(body())).1
             } else {
                 black_box(body());
                 0
@@ -171,7 +171,7 @@ impl Group<'_> {
         // bookkeeping never lands inside a measured interval; skipped
         // entirely (no extra run) when counting is off.
         let heap_peak_bytes = if crate::alloc::enabled() {
-            crate::alloc::measure_peak(&full, || black_box(body())).1
+            crate::alloc::measure_peak(|| black_box(body())).1
         } else {
             0
         };

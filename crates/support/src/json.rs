@@ -486,15 +486,14 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                }
+                                // Surrogate pair: a \uXXXX low half must follow.
+                                self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.hex4()?;
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(code)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid surrogate pair"));
+                                }
+                                char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
                             } else {
                                 char::from_u32(hi)
                             };
@@ -985,6 +984,23 @@ mod tests {
         let k: Kind = from_str(&to_string(&Kind::Beta)).unwrap();
         assert_eq!(k, Kind::Beta);
         assert!(from_str::<Kind>("\"Gamma\"").is_err());
+    }
+
+    #[test]
+    fn surrogate_escapes_are_validated() {
+        assert_eq!(
+            Json::parse("\"\\ud83d\\ude00\"").unwrap(),
+            Json::Str("\u{1F600}".into())
+        );
+        // A high half must be followed by an escaped low half.
+        for bad in [
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800\\ud800\"",
+            "\"\\ud800u dc00\"",
+            "\"\\ud800\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! - [`bench`] — a tiny wall-clock benchmark harness for `harness = false`
 //!   bench targets.
 //! - [`alloc`] — a counting `GlobalAlloc` wrapper ([`alloc::CountingAlloc`],
-//!   installed per binary) with per-scope heap attribution, RSS sampling,
-//!   and a sampled allocation-site profiler — the measured-memory ground
-//!   truth behind the telemetry spans' `heap_allocated`/`heap_live_peak`
-//!   fields (`ENTMATCHER_MEM`).
+//!   installed per binary) with per-scope heap attribution and an RSS
+//!   reader — the measured-memory ground truth behind the telemetry
+//!   spans' `heap_allocated`/`heap_live_peak` fields (`ENTMATCHER_MEM`).
 //! - [`pool`] — a persistent, process-wide work-stealing worker pool
 //!   (sized by `ENTMATCHER_THREADS` / available parallelism) that the
 //!   row-parallel kernels run on, with panic propagation and telemetry
@@ -28,8 +27,8 @@
 //!   observability layer every crate reports into), plus the
 //!   flight-recorder surfaces: live Prometheus exposition
 //!   ([`telemetry::expose`]), Chrome/Perfetto trace export
-//!   ([`telemetry::chrome`]), and a span-stack sampling profiler
-//!   ([`telemetry::profile`]).
+//!   ([`telemetry::chrome`]), and folded time and allocation profiles
+//!   computed from a recorded trace ([`telemetry::profile`]).
 //!
 //! The API shapes deliberately mirror the external crates they replace so
 //! that call sites migrate by swapping `use` lines, not rewriting bodies.

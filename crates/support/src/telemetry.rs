@@ -39,15 +39,12 @@
 //!   [`Trace`]: every span becomes a complete event (`"ph":"X"`) on its
 //!   recording thread's lane, so traces open directly in
 //!   `ui.perfetto.dev`.
-//! - [`profile`] — a span-stack sampling profiler: a background thread
-//!   samples every thread's currently-open span stack at a fixed rate and
-//!   aggregates collapsed-stack lines (`a;b;c count`) for flamegraph
-//!   tooling.
+//! - [`profile`] — folded profiles: a completed [`Trace`] folds into
+//!   collapsed-stack lines (`a;b;c weight`) for flamegraph tooling,
+//!   weighted by each span's exact self time or measured self bytes.
 //!
 //! To support them, every span records the **thread lane** ([`thread_lane`],
-//! a small stable per-OS-thread integer) it was opened on, and the registry
-//! keeps a per-thread view of the currently *open* spans
-//! ([`Telemetry::open_stacks`]) that the sampler reads.
+//! a small stable per-OS-thread integer) it was opened on.
 //!
 //! # Overhead
 //!
@@ -90,7 +87,7 @@ pub mod profile;
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -129,10 +126,6 @@ struct State {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Hist>,
-    // Per-thread-lane stacks of currently-open spans `(id, name)`, the
-    // view the sampling profiler reads. Maintained only while recording
-    // is enabled (the disabled fast path never touches the lock).
-    open: BTreeMap<u64, Vec<(u64, String)>>,
 }
 
 #[derive(Default, Clone)]
@@ -212,15 +205,7 @@ impl Telemetry {
         let id = {
             let mut state = self.state.lock().expect("telemetry lock poisoned");
             state.next_span_id += 1;
-            let id = state.next_span_id;
-            // Mirror the open span into the shared per-lane view so the
-            // sampling profiler can observe it from another thread.
-            state
-                .open
-                .entry(tid)
-                .or_default()
-                .push((id, name.to_string()));
-            id
+            state.next_span_id
         };
         let key = self as *const Telemetry as usize;
         let parent = SPAN_STACK.with(|stack| {
@@ -233,7 +218,7 @@ impl Telemetry {
         // opens a heap-attribution scope on its thread, so the record
         // gains measured `heap_allocated` / `heap_live_peak` fields.
         let heap = if crate::alloc::enabled() {
-            Some(crate::alloc::HeapScope::open(&name))
+            Some(crate::alloc::HeapScope::open())
         } else {
             None
         };
@@ -401,19 +386,6 @@ impl Telemetry {
         }
     }
 
-    /// The per-thread-lane stacks of currently-open spans, outermost
-    /// first: `(lane, [names])`. Empty when recording is off or nothing is
-    /// open. This is the view the [`profile`] sampler collapses.
-    pub fn open_stacks(&self) -> Vec<(u64, Vec<String>)> {
-        let state = self.state.lock().expect("telemetry lock poisoned");
-        state
-            .open
-            .iter()
-            .filter(|(_, stack)| !stack.is_empty())
-            .map(|(&tid, stack)| (tid, stack.iter().map(|(_, n)| n.clone()).collect()))
-            .collect()
-    }
-
     /// Clears all recorded data (the enabled flag is untouched).
     pub fn reset(&self) {
         let mut state = self.state.lock().expect("telemetry lock poisoned");
@@ -447,16 +419,11 @@ impl Telemetry {
             heap_allocated,
             heap_live_peak,
         };
-        let mut state = self.state.lock().expect("telemetry lock poisoned");
-        // Retire the span from the sampler's open-stack view (it may
-        // already be gone if the registry was reset while it was open).
-        if let Some(stack) = state.open.get_mut(&open.tid) {
-            stack.retain(|&(id, _)| id != record.id);
-            if stack.is_empty() {
-                state.open.remove(&open.tid);
-            }
-        }
-        state.spans.push(record);
+        self.state
+            .lock()
+            .expect("telemetry lock poisoned")
+            .spans
+            .push(record);
     }
 }
 
@@ -797,7 +764,9 @@ impl Histogram {
                     0.0
                 };
                 let v = lo + frac * (hi - lo);
-                return if self.finite_count > 0 {
+                // `min <= max` holds for every recorded histogram; a parsed
+                // document may break it, and `clamp` would then panic.
+                return if self.finite_count > 0 && self.min <= self.max {
                     v.clamp(self.min, self.max)
                 } else {
                     v
@@ -916,6 +885,48 @@ impl Trace {
         self.histograms.iter().find(|h| h.name == name)
     }
 
+    /// The span forest in depth-first preorder, as `(span index, depth)`
+    /// pairs: the one walk behind [`Self::render`] and
+    /// [`profile::fold`].
+    ///
+    /// One parent-to-children index is built up front, with roots (spans
+    /// without a parent) and each span's children in start order, ties in
+    /// record order. `enter(parent, child)` decides whether a child, and
+    /// with it its subtree, is walked. Each span is walked at most once, so
+    /// a span that names itself as parent, a duplicated id or a parent
+    /// cycle cannot loop; a span whose parent is not in the trace belongs
+    /// to no tree and is not walked.
+    pub(crate) fn preorder(
+        &self,
+        enter: impl Fn(&SpanRecord, &SpanRecord) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let mut order: Vec<usize> = (0..self.spans.len()).collect();
+        order.sort_by_key(|&i| self.spans[i].start_ns);
+        let mut roots = Vec::new();
+        let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
+        for &i in &order {
+            match self.spans[i].parent {
+                None => roots.push(i),
+                Some(parent) => children.entry(parent).or_default().push(i),
+            }
+        }
+        let mut seen = vec![false; self.spans.len()];
+        let mut walk = Vec::with_capacity(self.spans.len());
+        let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&i| (i, 0)).collect();
+        while let Some((i, depth)) = stack.pop() {
+            if std::mem::replace(&mut seen[i], true) {
+                continue;
+            }
+            walk.push((i, depth));
+            let span = &self.spans[i];
+            if let Some(kids) = children.get(&span.id) {
+                let entered = kids.iter().rev().filter(|&&c| enter(span, &self.spans[c]));
+                stack.extend(entered.map(|&c| (c, depth + 1)));
+            }
+        }
+        walk
+    }
+
     /// Renders the span tree plus metric tables as indented text — the
     /// human view printed by the CLI `trace` subcommand.
     pub fn render(&self) -> String {
@@ -930,35 +941,24 @@ impl Trace {
             self.gauges.len(),
             self.histograms.len()
         );
-        // Pre-sort children by start offset for a stable, readable tree.
-        let mut order: Vec<usize> = (0..self.spans.len()).collect();
-        order.sort_by_key(|&i| self.spans[i].start_ns);
-        fn walk(trace: &Trace, order: &[usize], parent: Option<u64>, depth: usize, out: &mut String) {
-            use std::fmt::Write;
-            for &i in order {
-                let s = &trace.spans[i];
-                if s.parent != parent {
-                    continue;
-                }
-                let ms = s.duration_ns as f64 / 1e6;
-                let _ = write!(out, "{:indent$}{}  {ms:.3}ms", "", s.name, indent = depth * 2);
-                if s.bytes > 0 {
-                    let _ = write!(out, "  ({:.1} MB)", s.bytes as f64 / 1e6);
-                }
-                // Measured heap columns (wire v3, ENTMATCHER_MEM runs).
-                if s.heap_live_peak > 0 || s.heap_allocated > 0 {
-                    let _ = write!(
-                        out,
-                        "  [heap peak {:.1} MB, alloc {:.1} MB]",
-                        s.heap_live_peak as f64 / 1e6,
-                        s.heap_allocated as f64 / 1e6
-                    );
-                }
-                out.push('\n');
-                walk(trace, order, Some(s.id), depth + 1, out);
+        for (i, depth) in self.preorder(|_, _| true) {
+            let s = &self.spans[i];
+            let ms = s.duration_ns as f64 / 1e6;
+            let _ = write!(out, "{:indent$}{}  {ms:.3}ms", "", s.name, indent = depth * 2);
+            if s.bytes > 0 {
+                let _ = write!(out, "  ({:.1} MB)", s.bytes as f64 / 1e6);
             }
+            // Measured heap columns (wire v3, ENTMATCHER_MEM runs).
+            if s.heap_live_peak > 0 || s.heap_allocated > 0 {
+                let _ = write!(
+                    out,
+                    "  [heap peak {:.1} MB, alloc {:.1} MB]",
+                    s.heap_live_peak as f64 / 1e6,
+                    s.heap_allocated as f64 / 1e6
+                );
+            }
+            out.push('\n');
         }
-        walk(self, &order, None, 0, &mut out);
         if !self.counters.is_empty() {
             let _ = writeln!(out, "counters:");
             for c in &self.counters {
@@ -1139,24 +1139,14 @@ mod tests {
     }
 
     #[test]
-    fn spans_carry_thread_lanes_and_open_stacks_are_visible() {
+    fn spans_carry_thread_lanes() {
         let t = Telemetry::new();
         t.set_enabled(true);
         let outer = t.span("outer");
         let lane = thread_lane();
         assert!(lane > 0);
-        {
-            let _inner = t.span("inner");
-            let stacks = t.open_stacks();
-            assert_eq!(stacks.len(), 1);
-            assert_eq!(stacks[0].0, lane);
-            assert_eq!(stacks[0].1, vec!["outer".to_string(), "inner".to_string()]);
-        }
-        // Closing pops the open view.
-        assert_eq!(t.open_stacks()[0].1, vec!["outer".to_string()]);
+        drop(t.span("inner"));
         drop(outer);
-        assert!(t.open_stacks().is_empty());
-        // Completed records keep the lane.
         let trace = t.snapshot();
         assert!(trace.spans.iter().all(|s| s.tid == lane));
 
@@ -1294,6 +1284,93 @@ mod tests {
         let trace = t.snapshot();
         assert!(trace.spans.is_empty() && trace.counters.is_empty() && trace.histograms.is_empty());
         assert!(t.is_enabled(), "reset must not flip the enabled switch");
+    }
+
+    fn record(id: u64, parent: Option<u64>, name: &str, start_ns: u64, duration_ns: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name: name.into(),
+            start_ns,
+            duration_ns,
+            bytes: 0,
+            tid: 1,
+            req: 0,
+            heap_allocated: 0,
+            heap_live_peak: 0,
+        }
+    }
+
+    fn spans_only(spans: Vec<SpanRecord>) -> Trace {
+        Trace {
+            version: TRACE_VERSION,
+            spans,
+            counters: vec![],
+            gauges: vec![],
+            histograms: vec![],
+        }
+    }
+
+    #[test]
+    fn render_golden_multi_root_with_start_ties() {
+        // Spans in completion order, as a registry records them. Two roots
+        // start at the same instant, as do two children of the first; ties
+        // keep record order. The third root starts earliest.
+        let mut spans = vec![
+            record(3, Some(1), "b.tie", 100, 1_000),
+            record(2, Some(1), "a.tie", 100, 2_500_000),
+            record(5, Some(2), "leaf", 150, 600),
+            record(1, None, "root.one", 100, 5_000_000),
+            record(4, None, "root.two", 100, 1_250_000),
+            record(7, Some(4), "late", 900, 2_000),
+            record(6, None, "root.zero", 50, 10),
+        ];
+        spans[1].bytes = 3_200_000;
+        spans[5].heap_allocated = 1_500_000;
+        spans[5].heap_live_peak = 700_000;
+        let mut trace = spans_only(spans);
+        trace.counters.push(Counter {
+            name: "cells".into(),
+            value: 2,
+        });
+        let expected = "\
+trace v4: 7 spans, 1 counters, 0 gauges, 0 histograms
+root.zero  0.000ms
+root.one  5.000ms
+  b.tie  0.001ms
+  a.tie  2.500ms  (3.2 MB)
+    leaf  0.001ms
+root.two  1.250ms
+  late  0.002ms  [heap peak 0.7 MB, alloc 1.5 MB]
+counters:
+  cells = 2
+";
+        assert_eq!(trace.render(), expected);
+    }
+
+    #[test]
+    fn preorder_walks_each_span_once_on_malformed_parent_links() {
+        let trace = spans_only(vec![
+            record(1, None, "root", 0, 10),
+            record(1, Some(1), "dup-of-root", 1, 5),
+            record(2, Some(2), "self-parent", 2, 5),
+            record(3, Some(99), "orphan", 3, 5),
+            record(4, Some(5), "cycle.a", 4, 5),
+            record(5, Some(4), "cycle.b", 5, 5),
+            record(6, Some(1), "child", 6, 5),
+        ]);
+        let names: Vec<(&str, usize)> = trace
+            .preorder(|_, _| true)
+            .into_iter()
+            .map(|(i, depth)| (trace.spans[i].name.as_str(), depth))
+            .collect();
+        // The span sharing the root's id is the root's child and, through
+        // that id, lists the root's children as its own, itself included:
+        // each is walked once, at its first position. The self-parented
+        // span, the orphan and the cycle hang from no root.
+        assert_eq!(names, [("root", 0), ("dup-of-root", 1), ("child", 2)]);
+        let text = trace.render();
+        assert_eq!(text.lines().count(), 4, "{text}");
     }
 
     #[test]

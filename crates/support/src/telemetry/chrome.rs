@@ -121,7 +121,7 @@ pub fn to_chrome_json(trace: &Trace) -> Json {
     let end_ts = trace
         .spans
         .iter()
-        .map(|s| s.start_ns + s.duration_ns)
+        .map(|s| s.start_ns.saturating_add(s.duration_ns))
         .max()
         .unwrap_or(0) as f64
         / 1e3;

@@ -1,7 +1,7 @@
 //! End-to-end tests of the counting allocator under a real
 //! `#[global_allocator]` installation: process counters, telemetry span
-//! attribution, attribution under the work-stealing pool, and the sampled
-//! allocation profiler.
+//! attribution, attribution under the work-stealing pool, and span bytes
+//! folded into an allocation profile.
 //!
 //! Every test that enables counting serializes on one lock — the enable
 //! switch and the process counters are global. Counter assertions are
@@ -9,8 +9,9 @@
 //! behavior with counting off is pinned in `alloc_off.rs`, a separate
 //! process where counting is never enabled.
 
-use entmatcher_support::alloc::{self, CountingAlloc, HeapScope};
+use entmatcher_support::alloc::{self, CountingAlloc};
 use entmatcher_support::pool::Pool;
+use entmatcher_support::telemetry::profile::{fold, Weight};
 use entmatcher_support::telemetry::Telemetry;
 use std::sync::Mutex;
 
@@ -181,27 +182,31 @@ fn totals_are_thread_count_independent() {
     );
 }
 
+/// A span's measured bytes fold into an allocation profile: the inner
+/// span, which allocates 32 blocks of 4 KiB, carries at least their
+/// 131072 B as its own.
 #[test]
-fn sampled_profile_contains_scope_stacks() {
+fn span_allocations_fold_into_the_heap_profile() {
     let _lock = locked();
     alloc::set_enabled(true);
-    alloc::start_sampling(1); // sample every allocation: deterministic
+    let t = Telemetry::new();
+    t.set_enabled(true);
     {
-        let _scope = HeapScope::open("mem.stage");
+        let _outer = t.span("mem.outer");
+        let _stage = t.span("mem.stage");
         for _ in 0..32 {
             std::hint::black_box(vec![0u8; 4 << 10]);
         }
     }
-    let profile = alloc::stop_sampling();
     alloc::set_enabled(false);
-    assert!(profile.total_samples() > 0);
-    let folded = profile.to_folded();
+    let stacks = fold(&t.snapshot(), Weight::HeapBytes);
+    let stage = stacks.get("mem.outer;mem.stage").copied().unwrap_or(0);
     assert!(
-        folded.lines().any(|l| {
-            l.starts_with("mem.stage")
-                && l.split(' ').next_back().and_then(|w| w.parse::<u64>().ok())
-                    >= Some(32 * (4 << 10))
-        }),
-        "folded output must attribute the scope's bytes: {folded}"
+        stage >= 32 * (4 << 10),
+        "the allocating span must carry its bytes: {stacks:?}"
+    );
+    assert!(
+        stacks.keys().all(|k| k.starts_with("mem.outer")),
+        "every stack hangs from the root span: {stacks:?}"
     );
 }

@@ -36,7 +36,7 @@ fn disabled_counters_stay_exactly_zero() {
     assert_eq!(stats, alloc::AllocStats::default(), "no counter may ever be written while counting is off: {stats:?}");
 
     // Scopes opened with counting off are inert and free.
-    let scope = alloc::HeapScope::open("inert");
+    let scope = alloc::HeapScope::open();
     std::hint::black_box(vec![0u8; 1 << 16]);
     let s = scope.finish();
     assert_eq!(s.allocated, 0);

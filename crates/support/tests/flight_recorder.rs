@@ -1,22 +1,22 @@
 //! Integration tests for the flight-recorder surfaces: golden Chrome
 //! `trace_event` output, Prometheus text-format conformance, the
-//! exposition server's bind/serve/shutdown lifecycle, and the sampling
-//! profiler under multi-threaded load.
+//! exposition server's bind/serve/shutdown lifecycle, and the folded
+//! profile of a trace recorded on several threads.
 
 use entmatcher_support::json::Json;
 use entmatcher_support::telemetry::chrome::to_chrome_string;
 use entmatcher_support::telemetry::expose::{
     render_prometheus, MetricsServer, Response, Routes, ServerConfig,
 };
-use entmatcher_support::telemetry::profile::Profiler;
+use entmatcher_support::telemetry::profile::{fold, to_folded, Weight};
 use entmatcher_support::telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The exposition server and profiler hold the registry for a thread's
-/// lifetime, so tests give them `'static` standalone registries.
+/// The exposition server holds the registry for a thread's lifetime, so
+/// tests give it `'static` standalone registries.
 fn leaked_registry() -> &'static Telemetry {
     Box::leak(Box::new(Telemetry::new()))
 }
@@ -433,14 +433,13 @@ fn server_hardening_against_real_clients() {
 }
 
 // ---------------------------------------------------------------------------
-// Sampling profiler
+// Folded profiles
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sampler_captures_stacks_from_many_threads() {
-    let t = leaked_registry();
+fn trace_from_many_threads_folds_to_each_lane() {
+    let t = Telemetry::new();
     t.set_enabled(true);
-    let profiler = Profiler::start(t, 500);
     std::thread::scope(|scope| {
         for _ in 0..3 {
             scope.spawn(|| {
@@ -450,40 +449,48 @@ fn sampler_captures_stacks_from_many_threads() {
             });
         }
     });
-    let profile = profiler.stop();
-    assert!(profile.ticks > 0, "sampler never ticked");
-    assert!(
-        profile.stack_count("grid;cell") > 0,
-        "expected grid;cell stacks, folded:\n{}",
-        profile.to_folded()
-    );
-    // Three threads with open stacks: each tick inside the window
-    // captured up to three observations, and the folded output parses as
-    // `frames count` lines.
-    for line in profile.to_folded().lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line shape");
-        assert!(!stack.is_empty());
-        assert!(count.parse::<u64>().unwrap() > 0);
+    let trace = t.snapshot();
+    let mut lanes: Vec<u64> = trace.spans_named("grid").map(|s| s.tid).collect();
+    lanes.sort_unstable();
+    lanes.dedup();
+    assert_eq!(lanes.len(), 3, "one lane per thread: {lanes:?}");
+    // Each lane on its own folds to the same stack, weighted by the time
+    // its thread slept inside it.
+    for lane in lanes {
+        let mut one = trace.clone();
+        one.spans.retain(|s| s.tid == lane);
+        let stacks = fold(&one, Weight::Micros);
+        assert!(
+            stacks.get("grid;cell").copied().unwrap_or(0) >= 80_000,
+            "lane {lane}: {}",
+            to_folded(&stacks)
+        );
+    }
+    // Together, the three lanes' time lands on one line per stack.
+    let stacks = fold(&trace, Weight::Micros);
+    assert!(stacks["grid;cell"] >= 3 * 80_000, "{}", to_folded(&stacks));
+    for line in to_folded(&stacks).lines() {
+        let (stack, weight) = line.rsplit_once(' ').expect("folded line shape");
+        assert!(stack == "grid" || stack == "grid;cell", "{line}");
+        assert!(weight.parse::<u64>().unwrap() > 0);
     }
 }
 
 #[test]
-fn sampler_adds_no_overhead_when_disabled() {
-    let t = leaked_registry();
-    // Recording off: the sampler must observe nothing, and the span fast
-    // path must stay inert (guards record no ids) and fast.
-    let profiler = Profiler::start(t, 2000);
+fn disabled_span_fast_path_records_nothing() {
+    let t = Telemetry::new();
+    // Recording off: guards stay inert (no ids), nothing reaches the
+    // trace, and the fast path stays fast.
     let start = Instant::now();
     for _ in 0..100_000 {
         let span = t.span("hot");
+        assert!(span.id().is_none());
         drop(span);
     }
     let elapsed = start.elapsed();
-    std::thread::sleep(Duration::from_millis(20));
-    let profile = profiler.stop();
-    assert_eq!(profile.ticks, 0, "sampler must skip disabled registries");
-    assert!(profile.is_empty());
-    assert!(t.snapshot().spans.is_empty());
+    let trace = t.snapshot();
+    assert!(trace.spans.is_empty());
+    assert!(fold(&trace, Weight::Micros).is_empty());
     // Loose bound: 100k disabled spans are ~one atomic load + Instant
     // each; even heavily loaded CI finishes far under a second.
     assert!(

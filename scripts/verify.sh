@@ -117,6 +117,37 @@ echo "$RENDERED_PAD" | grep -q "pad" || {
 }
 echo "verify: telemetry smoke test passed"
 
+# Whole-pipeline determinism: the nine paper presets' pairs and the RREA
+# encoder's snapshots must be byte-identical at every pool width and SIMD
+# level, ENTMATCHER_THREADS in {1, 2} x ENTMATCHER_SIMD in {off, avx2}
+# (avx2 falls back to the scalar kernel on hosts without it). The opt-in
+# fma level is left out: it is not bitwise.
+"$ENTMATCHER" generate --preset S-W --scale 0.15 --out "$SMOKE/det" >/dev/null
+"$ENTMATCHER" encode --data "$SMOKE/det" --encoder name --out "$SMOKE/det-emb" >/dev/null
+for THREADS in 1 2; do
+    for SIMD in off avx2; do
+        CFG="t$THREADS-$SIMD"
+        for ALGO in dinf csls rinf rinf-wr rinf-pb sinkhorn hungarian smat rl; do
+            ENTMATCHER_THREADS=$THREADS ENTMATCHER_SIMD=$SIMD "$ENTMATCHER" match \
+                --data "$SMOKE/det" --embeddings "$SMOKE/det-emb" \
+                --algorithm "$ALGO" --out "$SMOKE/det-$ALGO-$CFG.tsv" >/dev/null
+            cmp "$SMOKE/det-$ALGO-t1-off.tsv" "$SMOKE/det-$ALGO-$CFG.tsv" || {
+                echo "verify: $ALGO pairs at $CFG differ from t1-off" >&2
+                exit 1
+            }
+        done
+        ENTMATCHER_THREADS=$THREADS ENTMATCHER_SIMD=$SIMD "$ENTMATCHER" encode \
+            --data "$SMOKE/data" --encoder rrea --out "$SMOKE/det-rrea-$CFG" >/dev/null
+        for SIDE in source.emb target.emb; do
+            cmp "$SMOKE/det-rrea-t1-off/$SIDE" "$SMOKE/det-rrea-$CFG/$SIDE" || {
+                echo "verify: RREA $SIDE at $CFG differs from t1-off" >&2
+                exit 1
+            }
+        done
+    done
+done
+echo "verify: whole-pipeline determinism passed"
+
 # Full-width IVF smoke, in both execution configs: probing every list
 # must reproduce the dense DInf pairs byte for byte through the binary,
 # and an unknown strategy such as the retired `lsh` must be a usage error
@@ -264,8 +295,9 @@ kill "$METRICS_PID" 2>/dev/null || true
 wait "$METRICS_PID" 2>/dev/null || true
 echo "verify: metrics exposition smoke passed"
 
-# Chrome trace + profiler smoke: the same match exported as trace_event
-# JSON (must mention traceEvents) and a folded profile file.
+# Chrome trace + profile smoke: the same match exported as trace_event
+# JSON (must mention traceEvents) and folded into a time profile, which
+# must carry the pipeline's stacks.
 ENTMATCHER_TRACE_FORMAT=chrome "$ENTMATCHER" match \
     --data "$SMOKE/data" --embeddings "$SMOKE/emb" --algorithm csls \
     --trace "$SMOKE/chrome.json" --profile "$SMOKE/profile.folded" \
@@ -274,8 +306,8 @@ grep -q '"traceEvents"' "$SMOKE/chrome.json" || {
     echo "verify: chrome trace export missing traceEvents" >&2
     exit 1
 }
-[ -f "$SMOKE/profile.folded" ] || {
-    echo "verify: folded profile not written" >&2
+grep -q '^pipeline' "$SMOKE/profile.folded" || {
+    echo "verify: folded profile has no pipeline stack" >&2
     exit 1
 }
 echo "verify: flight recorder smoke passed"
