@@ -14,8 +14,10 @@
 //!
 //! Stages, at each scale `n` (d = 64):
 //! * `gemm`        — blocked similarity product (dense n x n output);
-//! * `sinkhorn`    — Sinkhorn on an n x n score matrix (in place: the
-//!                   input clone dominates, aux is O(n));
+//! * `sinkhorn`    — Sinkhorn on an n x n score matrix (scaling form in
+//!                   place: the input clone dominates; aux is u, v, the
+//!                   column sums and one column partial per row block of
+//!                   at most 64, so O(n));
 //! * `rinf_wr`     — RInf-wr on an n x n score matrix (input + output
 //!                   cells, no transposed copies);
 //! * `csls_stream` — streaming CSLS over the fused cosine path (O(n)

@@ -332,6 +332,29 @@ fn snapshot_stream_pack_peaks_at_chunk_not_matrix() {
     );
 }
 
+/// A snapshot header that lies about its shape allocates only the bytes
+/// that arrive: a 40-byte stream declaring 1 x 2^26 columns (a 256 MiB
+/// payload) is a `CorruptSnapshot` with a peak far below the claim.
+#[test]
+fn lying_snapshot_header_allocates_only_what_arrives() {
+    use entmatcher_linalg::snapshot::{self, SnapshotReader};
+    use entmatcher_linalg::LinalgError;
+
+    let _lock = locked();
+    let mut raw = snapshot::to_bytes(&Matrix::zeros(1, 4));
+    raw[16..24].copy_from_slice(&(1u64 << 26).to_le_bytes());
+    assert_eq!(raw.len(), 40);
+    let mut reader = SnapshotReader::from_reader(std::io::Cursor::new(raw)).unwrap();
+    assert_eq!((reader.rows(), reader.cols()), (1, 1 << 26));
+    let mut chunk = None;
+    let peak = measured(|| chunk = Some(reader.next_chunk(1)));
+    assert!(
+        matches!(chunk, Some(Err(LinalgError::CorruptSnapshot(_)))),
+        "expected CorruptSnapshot, got {chunk:?}"
+    );
+    assert!(peak < 1 << 20, "a 40-byte stream peaked at {peak} B");
+}
+
 /// End-to-end: `ExecutionReport::measured_heap_peak_bytes` is populated
 /// from the pipeline span, covers the score matrix, sits inside the
 /// modeled `peak_aux_bytes` envelope, and agrees with the exported trace.

@@ -27,6 +27,10 @@ const VERSION: u32 = 1;
 /// Size of the fixed snapshot header in bytes.
 const HEADER_BYTES: usize = 24;
 
+/// The first step of a chunk's byte buffer, before any payload has
+/// arrived; later steps double it up to the chunk's size.
+const FIRST_READ_BYTES: usize = 64 << 10;
+
 /// Serializes a matrix into the snapshot wire format. A matrix with rows
 /// but no columns has no valid snapshot: the loaders reject its header.
 pub fn to_bytes(m: &Matrix) -> Vec<u8> {
@@ -108,7 +112,7 @@ pub struct SnapshotReader<R = std::io::BufReader<std::fs::File>> {
     rows: usize,
     cols: usize,
     next_row: usize,
-    /// Reused chunk byte buffer (grown to the largest chunk requested).
+    /// Reused chunk byte buffer (grown to the largest chunk read).
     buf: Vec<u8>,
 }
 
@@ -179,13 +183,23 @@ impl<R: Read> SnapshotReader<R> {
             return Ok(None);
         }
         let bytes = rows * self.cols * 4;
-        self.buf.resize(bytes, 0);
-        self.inner.read_exact(&mut self.buf).map_err(|_| {
-            LinalgError::CorruptSnapshot(format!(
-                "truncated payload at row {} of {}",
-                self.next_row, self.rows
-            ))
-        })?;
+        // Grow the buffer only as bytes arrive, so a header that lies about
+        // the shape cannot make the reader allocate its claim: each step
+        // reserves at most twice what has been read (the first one
+        // FIRST_READ_BYTES), and the last ends exactly at the chunk.
+        self.buf.clear();
+        while self.buf.len() < bytes {
+            let have = self.buf.len();
+            let next = bytes.min((2 * have).max(FIRST_READ_BYTES));
+            self.buf.reserve_exact(next - have);
+            self.buf.resize(next, 0);
+            self.inner.read_exact(&mut self.buf[have..]).map_err(|_| {
+                LinalgError::CorruptSnapshot(format!(
+                    "truncated payload at row {} of {}",
+                    self.next_row, self.rows
+                ))
+            })?;
+        }
         let mut data = Vec::with_capacity(rows * self.cols);
         for quad in self.buf.chunks_exact(4) {
             data.push(f32::from_le_bytes(quad.try_into().unwrap()));
@@ -269,6 +283,18 @@ mod tests {
         assert_eq!(row, 11);
         assert_eq!(reader.rows_remaining(), 0);
         assert!(reader.next_chunk(4).unwrap().is_none());
+    }
+
+    #[test]
+    fn reader_reads_a_chunk_past_the_first_step() {
+        // 300 x 100 f32 is 120,000 bytes: two buffer steps in one chunk.
+        let m = Matrix::from_fn(300, 100, |r, c| (r * 100 + c) as f32);
+        let bytes = to_bytes(&m);
+        let mut reader = SnapshotReader::from_reader(std::io::Cursor::new(bytes.clone())).unwrap();
+        assert_eq!(reader.next_chunk(300).unwrap().unwrap(), m);
+        let cut = bytes[..bytes.len() - 4].to_vec();
+        let mut reader = SnapshotReader::from_reader(std::io::Cursor::new(cut)).unwrap();
+        assert!(reader.next_chunk(300).is_err());
     }
 
     #[test]

@@ -83,6 +83,15 @@ for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib fused
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --test proptests
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib streaming
+
+    # Sinkhorn group: the scaling form merges one column partial per row
+    # block in block order, with blocks fixed by the row count, so nothing
+    # in it may depend on the pool width; its differential property
+    # against the five-pass form and the optimizer properties must hold
+    # under both execution configs.
+    echo "verify: Sinkhorn test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib score::sinkhorn
+    test_group env $MODE_ENV cargo test -q --offline --test properties
 done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
