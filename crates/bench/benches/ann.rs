@@ -9,24 +9,17 @@
 //! charged to every row because a matching run builds the index once and
 //! probes once, so the quotient is the end-to-end similarity-stage
 //! speedup a `--candidates ivf` run actually sees. The resulting
-//! recall-vs-speedup curve is written to `BENCH_ann.json` ([`AnnBench`])
-//! and gated by the `bench_gate` binary (`entmatcher_bench::gate`): the
-//! gate fails when no measured row reaches recall@10 >=
-//! `gate::ANN_RECALL_FLOOR` (0.95) at >= `gate::ANN_SPEEDUP_FLOOR` (5x)
-//! speedup, or when the best qualifying speedup falls more than
-//! `gate::TOLERANCE` (20%) below the committed baseline.
+//! recall-vs-speedup curve is written to `BENCH_ann.json` ([`Ledger`]),
+//! one `nprobe=N` case per probe width, and gated by the `bench_gate`
+//! binary (`entmatcher_bench::gate::ann`).
 //!
 //! Modes:
 //! * default — 100k entities, d = 64 (the acceptance configuration; the
 //!   exact oracle pass alone is ~1.3 TFLOP, so expect minutes);
 //! * quick ([`artifact::quick_mode`]) — CI smoke: 2k entities, still
 //!   exercising train, sweep, JSON write and self-check.
-//!
-//! Output: `BENCH_ann.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
-//! in the workspace root, or the temp dir for a quick run
-//! ([`artifact::out_dir`]).
 
-use entmatcher_bench::artifact::{self, AnnBench, AnnEntry, Artifact};
+use entmatcher_bench::artifact::{self, Ledger, Metric, Suite};
 use entmatcher_core::{IvfIndex, IvfParams};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
 use entmatcher_linalg::fused_topk;
@@ -51,8 +44,8 @@ fn recall(approx: &[Vec<(u32, f32)>], oracle: &[Vec<(u32, f32)>]) -> f64 {
     }
 }
 
-/// Builds the index, sweeps `nprobes` and returns the artifact document.
-fn run(entities: usize, dim: usize, clusters: usize, nprobes: &[usize], quick: bool) -> AnnBench {
+/// Builds the index, sweeps `nprobes` and returns the ledger.
+fn run(entities: usize, dim: usize, clusters: usize, nprobes: &[usize], quick: bool) -> Ledger {
     eprintln!("ann: generating {entities} x {dim} clustered pair ({clusters} clusters)...");
     let pair = clustered_embeddings(&EmbeddingSpec {
         entities,
@@ -80,7 +73,12 @@ fn run(entities: usize, dim: usize, clusters: usize, nprobes: &[usize], quick: b
         index.nlist()
     );
 
-    let mut entries = Vec::new();
+    let (n, d) = (queries.rows(), target.cols());
+    let mut ledger = Ledger::new(Suite::Ann, quick);
+    ledger.push("exact", n, d, Metric::K, K as f64);
+    ledger.push("exact", n, d, Metric::Seconds, exact_seconds);
+    ledger.push("ivf_train", n, d, Metric::Nlist, index.nlist() as f64);
+    ledger.push("ivf_train", n, d, Metric::Seconds, train_seconds);
     for &nprobe in nprobes {
         let nprobe = nprobe.min(index.nlist());
         let start = Instant::now();
@@ -92,52 +90,36 @@ fn run(entities: usize, dim: usize, clusters: usize, nprobes: &[usize], quick: b
             "ann: nprobe={nprobe:4}: recall@{K}={recall_at_10:.4} probe={probe_seconds:.2}s \
              speedup={speedup:.1}x"
         );
-        entries.push(AnnEntry {
-            nprobe,
-            recall_at_10,
-            probe_seconds,
-            train_seconds,
-            speedup,
-        });
+        let case = format!("nprobe={nprobe}");
+        ledger.push(&case, n, d, Metric::RecallAt10, recall_at_10);
+        ledger.push(&case, n, d, Metric::Seconds, probe_seconds);
+        ledger.push(&case, n, d, Metric::Speedup, speedup);
     }
-    let (threads, pool_width, simd) = artifact::host();
-    AnnBench {
-        schema: AnnBench::SCHEMA.into(),
-        note: AnnBench::NOTE.into(),
-        n: queries.rows(),
-        d: target.cols(),
-        k: K,
-        nlist: index.nlist(),
-        exact_seconds,
-        train_seconds,
-        threads,
-        pool_width,
-        simd,
-        quick,
-        entries,
-    }
+    ledger
 }
 
 fn main() {
     let quick = artifact::quick_mode();
-    let doc = if quick {
+    let ledger = if quick {
         run(2000, 32, 50, &[1, 4, 16, 64], quick)
     } else {
         run(100_000, 64, 500, &[1, 2, 4, 8, 16, 32, 64], quick)
     };
-    let (path, doc) = artifact::write(&doc, quick);
+    let (path, ledger) = ledger.write();
 
     // Self-check: a monotone-recall sweep of finite numbers. The
     // acceptance floor (a row with recall >= 0.95 at >= 5x) is the gate's,
     // not asserted here — the quick smoke runs at a size where speedup is
     // meaningless.
+    let recalls: Vec<_> = ledger.lookup(Metric::RecallAt10, None).collect();
     assert!(
-        !doc.entries.is_empty(),
-        "self-check: no sweep entries in artifact"
+        !recalls.is_empty(),
+        "self-check: no sweep rows in the ledger"
     );
     let mut prev = 0.0f64;
-    for e in &doc.entries {
-        let (r, s) = (e.recall_at_10, e.speedup);
+    for row in recalls {
+        let speedup = ledger.value(Metric::Speedup, &row.case);
+        let (r, s) = (row.value, speedup.unwrap_or(f64::NAN));
         assert!(
             r.is_finite() && (0.0..=1.0).contains(&r),
             "self-check: bad recall {r}"
@@ -150,8 +132,8 @@ fn main() {
         prev = r;
     }
     println!(
-        "ann bench: wrote {} ({} entries, self-check ok)",
+        "ann bench: wrote {} ({} records, self-check ok)",
         path.display(),
-        doc.entries.len()
+        ledger.records.len()
     );
 }

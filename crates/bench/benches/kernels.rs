@@ -1,10 +1,10 @@
 //! Similarity-kernel benchmark: naive vs blocked GEMM (SIMD and scalar
 //! micro-kernels) vs fused top-k, plus pool-vs-spawn dispatch overhead.
 //!
-//! Unlike the wall-clock microbenches, this target emits a machine-readable
-//! artifact — `BENCH_kernels.json` ([`KernelBench`]) — recording GFLOP/s and
-//! wall time for every (kernel, n, d) configuration, so the perf trajectory
-//! of the similarity hot path is tracked in-repo. The `blocked` rows use the
+//! Unlike the wall-clock microbenches, this target writes a ledger —
+//! `BENCH_kernels.json` ([`Ledger`]) — recording GFLOP/s and wall time for
+//! every (kernel, n, d) configuration, so the perf trajectory of the
+//! similarity hot path is tracked in-repo. The `blocked` rows use the
 //! runtime-dispatched micro-kernel (AVX2 where available); the
 //! `blocked_scalar` rows force the scalar reference kernel, so the pair is
 //! the in-repo simd-vs-scalar comparison. The `blocked_f16` /
@@ -18,13 +18,10 @@
 //! `par_pool`/`par_spawn` rows run the same many-small-calls row sweep
 //! through the persistent work-stealing pool and through per-call
 //! `thread::scope` spawning — the dispatch-overhead comparison that
-//! motivated the pool. The artifact is self-checked after writing: the run
-//! fails if it does not parse back or if any kernel's entry is missing.
-//! The `bench_gate` binary (`entmatcher_bench::gate`) fails when the best
-//! GFLOP/s of any of the four `blocked*` kernels falls more than
-//! `gate::TOLERANCE` (20%) below the committed baseline, or when
-//! `blocked_f16`/`blocked_int8` hold less than `gate::QUANT_GFLOPS_FLOOR`
-//! (60%) of the same run's f32 `blocked`.
+//! motivated the pool. The ledger is self-checked after writing: the run
+//! fails if it does not parse back or if any kernel's GFLOP/s is missing.
+//! The `bench_gate` binary gates the four `blocked*` kernels
+//! (`entmatcher_bench::gate::kernels`).
 //!
 //! Modes:
 //! * default — 2k and 10k entities, dims 64/128/300 (dense kernels at 2k,
@@ -34,12 +31,8 @@
 //!   the fused kernel);
 //! * quick ([`artifact::quick_mode`]) — CI smoke: one tiny configuration,
 //!   still exercising measurement, JSON write and self-check.
-//!
-//! Output: `BENCH_kernels.json` in `ENTMATCHER_BENCH_OUT_DIR` when set,
-//! else in the workspace root, or the temp dir for a quick run
-//! ([`artifact::out_dir`]).
 
-use entmatcher_bench::artifact::{self, Artifact, KernelBench, KernelEntry};
+use entmatcher_bench::artifact::{self, Ledger, Metric, Suite};
 use entmatcher_linalg::parallel::{self, par_row_chunks_mut};
 use entmatcher_linalg::{
     fused_topk, fused_topk_packed, matmul_blocked, matmul_blocked_packed, matmul_blocked_with,
@@ -64,14 +57,14 @@ fn random_embeddings(n: usize, d: usize, seed: u64) -> Matrix {
 }
 
 /// Times `body` as one `m x n x d` pass of `kernel` (2·m·n·d flops) and
-/// records its entry. Repetitions are adaptive: at least one, and more (up
+/// records its row. Repetitions are adaptive: at least one, and more (up
 /// to `max_reps`) until the measurement exceeds ~0.3 s, so tiny
 /// configurations are not noise-dominated while 10k+ ones run once. The
 /// first repetition runs under a counting-allocator scope so every entry
 /// also records its measured peak heap (the counting overhead on that
-/// single rep is < 3% — see the memory bench's overhead row).
+/// single rep is < 3% — see the memory bench's overhead record).
 fn record(
-    entries: &mut Vec<KernelEntry>,
+    ledger: &mut Ledger,
     kernel: &str,
     (m, n, d): (usize, usize, usize),
     max_reps: u32,
@@ -90,30 +83,29 @@ fn record(
     let seconds = start.elapsed().as_secs_f64() / reps as f64;
     let gflops = 2.0 * (m * n * d) as f64 / seconds / 1e9;
     eprintln!("kernels: {kernel} m={m} n={n} d={d}: {seconds:.4}s ({gflops:.2} GFLOP/s)");
-    entries.push(KernelEntry {
-        kernel: kernel.to_string(),
-        m,
-        n,
-        d,
-        seconds,
-        gflops,
-        reps,
-        heap_peak_bytes,
-    });
+    for (metric, value) in [
+        (Metric::M, m as f64),
+        (Metric::Seconds, seconds),
+        (Metric::Gflops, gflops),
+        (Metric::Reps, reps.into()),
+        (Metric::HeapPeakBytes, heap_peak_bytes as f64),
+    ] {
+        ledger.push(kernel, n, d, metric, value);
+    }
 }
 
-fn bench_config(entries: &mut Vec<KernelEntry>, n: usize, d: usize, dense: bool, max_reps: u32) {
+fn bench_config(ledger: &mut Ledger, n: usize, d: usize, dense: bool, max_reps: u32) {
     let a = random_embeddings(n, d, 0xA5);
     let b = random_embeddings(n, d, 0x5A);
     let shape = (n, n, d);
     if dense {
-        record(entries, "naive", shape, max_reps, || {
+        record(ledger, "naive", shape, max_reps, || {
             black_box(matmul_naive(&a, &b).unwrap());
         });
-        record(entries, "blocked", shape, max_reps, || {
+        record(ledger, "blocked", shape, max_reps, || {
             black_box(matmul_blocked(&a, &b).unwrap());
         });
-        record(entries, "blocked_scalar", shape, max_reps, || {
+        record(ledger, "blocked_scalar", shape, max_reps, || {
             black_box(matmul_blocked_with(&a, &b, SimdLevel::Scalar).unwrap());
         });
         // Dequantize-fused kernels: pack-at-precision + multiply per rep,
@@ -124,13 +116,13 @@ fn bench_config(entries: &mut Vec<KernelEntry>, n: usize, d: usize, dense: bool,
             ("blocked_f16", Precision::F16),
             ("blocked_int8", Precision::Int8),
         ] {
-            record(entries, kernel, shape, max_reps, || {
+            record(ledger, kernel, shape, max_reps, || {
                 let packed = PackedAny::pack(&b, precision);
                 black_box(matmul_blocked_packed(&a, &packed).unwrap());
             });
         }
     }
-    record(entries, "fused_topk", shape, max_reps, || {
+    record(ledger, "fused_topk", shape, max_reps, || {
         black_box(fused_topk(&a, &b, FUSED_K).unwrap());
     });
     // The same top-k, one query row per call against a target packed once
@@ -145,7 +137,7 @@ fn bench_config(entries: &mut Vec<KernelEntry>, n: usize, d: usize, dense: bool,
         ("fused_topk_row_int8", Precision::Int8),
     ] {
         let packed = PackedAny::pack(&b, precision);
-        record(entries, kernel, shape, max_reps, || {
+        record(ledger, kernel, shape, max_reps, || {
             for q in &queries {
                 black_box(fused_topk_packed(q, &packed, FUSED_K).unwrap());
             }
@@ -166,22 +158,16 @@ fn sweep_rows(chunk: &mut [f32]) {
 /// the persistent pool (`par_pool`) and through a fresh `thread::scope`
 /// with static contiguous chunks per call (`par_spawn` — the strategy the
 /// pool replaced). Rows record `m = rows`, `n = calls`, `d = cols`.
-fn bench_pool_vs_spawn(
-    entries: &mut Vec<KernelEntry>,
-    rows: usize,
-    cols: usize,
-    calls: usize,
-    max_reps: u32,
-) {
+fn bench_pool_vs_spawn(ledger: &mut Ledger, rows: usize, cols: usize, calls: usize, max_reps: u32) {
     let mut m = random_embeddings(rows, cols, 0x77);
-    record(entries, "par_pool", (rows, calls, cols), max_reps, || {
+    record(ledger, "par_pool", (rows, calls, cols), max_reps, || {
         for _ in 0..calls {
             par_row_chunks_mut(m.as_mut_slice(), cols, |_, chunk| sweep_rows(chunk));
         }
         black_box(&mut m);
     });
     let chunk_rows = rows.div_ceil(parallel::workers()).max(1);
-    record(entries, "par_spawn", (rows, calls, cols), max_reps, || {
+    record(ledger, "par_spawn", (rows, calls, cols), max_reps, || {
         for _ in 0..calls {
             let data = m.as_mut_slice();
             std::thread::scope(|scope| {
@@ -198,39 +184,28 @@ fn main() {
     let quick = artifact::quick_mode();
     let full = std::env::args().any(|a| a == "--full");
 
-    let mut entries = Vec::new();
+    let mut ledger = Ledger::new(Suite::Kernels, quick);
     if quick {
-        bench_config(&mut entries, 256, 64, true, 3);
-        bench_pool_vs_spawn(&mut entries, 64, 64, 20, 2);
+        bench_config(&mut ledger, 256, 64, true, 3);
+        bench_pool_vs_spawn(&mut ledger, 64, 64, 20, 2);
     } else {
-        bench_config(&mut entries, 2000, 64, true, 5);
-        bench_config(&mut entries, 2000, 128, true, 5);
-        bench_config(&mut entries, 2000, 300, true, 5);
+        bench_config(&mut ledger, 2000, 64, true, 5);
+        bench_config(&mut ledger, 2000, 128, true, 5);
+        bench_config(&mut ledger, 2000, 300, true, 5);
         // The acceptance configuration: 10k x 10k, d = 128.
-        bench_config(&mut entries, 10_000, 128, true, 2);
+        bench_config(&mut ledger, 10_000, 128, true, 2);
         // Dispatch overhead: many cheap parallel calls on a small matrix.
-        bench_pool_vs_spawn(&mut entries, 512, 128, 200, 3);
+        bench_pool_vs_spawn(&mut ledger, 512, 128, 200, 3);
         if full {
             // Dense would materialize a 30k x 30k (3.6 GB) matrix; only
             // the fused kernel runs at this scale.
-            bench_config(&mut entries, 30_000, 128, false, 1);
+            bench_config(&mut ledger, 30_000, 128, false, 1);
         }
     }
-
-    let (threads, pool_width, simd) = artifact::host();
-    let doc = KernelBench {
-        schema: KernelBench::SCHEMA.into(),
-        note: KernelBench::NOTE.into(),
-        threads,
-        pool_width,
-        simd,
-        quick,
-        entries,
-    };
-    let (path, doc) = artifact::write(&doc, quick);
+    let (path, ledger) = ledger.write();
 
     // Self-check: every kernel (the perf comparisons the repo tracks) has
-    // an entry with a finite positive throughput.
+    // a finite positive throughput.
     for kernel in [
         "naive",
         "blocked",
@@ -244,15 +219,16 @@ fn main() {
         "par_pool",
         "par_spawn",
     ] {
-        let found = doc
-            .entries
-            .iter()
-            .any(|e| e.kernel == kernel && e.gflops.is_finite() && e.gflops > 0.0);
-        assert!(found, "self-check: no valid '{kernel}' entry in artifact");
+        let mut gflops = ledger.lookup(Metric::Gflops, Some(kernel));
+        let found = gflops.any(|r| r.value.is_finite() && r.value > 0.0);
+        assert!(
+            found,
+            "self-check: no valid '{kernel}' GFLOP/s in the ledger"
+        );
     }
     println!(
-        "kernels bench: wrote {} ({} entries, self-check ok)",
+        "kernels bench: wrote {} ({} records, self-check ok)",
         path.display(),
-        doc.entries.len()
+        ledger.records.len()
     );
 }

@@ -1,5 +1,5 @@
 //! Measured-memory benchmark: per-stage peak heap, bytes/entity, and the
-//! counting-allocator overhead — `BENCH_memory.json` ([`MemoryBench`]).
+//! counting-allocator overhead — `BENCH_memory.json` ([`Ledger`]).
 //!
 //! Where the kernels bench tracks throughput, this target tracks the
 //! *memory trajectory* of the pipeline stages the paper's Figure 5 /
@@ -8,9 +8,8 @@
 //! heap next to the modeled byte estimate the `ExecutionReport` is built
 //! from, normalized to bytes per entity so two scales are comparable. A
 //! regression in bytes/entity means a stage started materializing
-//! something new — the `bench_gate` binary (`entmatcher_bench::gate`)
-//! fails any (stage, n) row more than `gate::TOLERANCE` (20%) above the
-//! committed baseline.
+//! something new; the `bench_gate` binary gates every (stage, n) row
+//! (`entmatcher_bench::gate::memory`).
 //!
 //! Stages, at each scale `n` (d = 64):
 //! * `gemm`        — blocked similarity product (dense n x n output);
@@ -30,18 +29,15 @@
 //! * `stream_pack_int8` — out-of-core snapshot pack in 256-row chunks
 //!   (aux above the packed output is O(chunk), not O(n)).
 //!
-//! The `alloc_overhead_pct` field times the blocked GEMM with counting
-//! off vs on (best-of-reps); `--full` mode asserts it stays under 3%,
-//! default mode only records it (CI machines are too noisy for a hard
-//! floor).
+//! The `gemm` case's `alloc_overhead_pct` record times the blocked GEMM
+//! with counting off vs on (best-of-reps); `--full` mode asserts it stays
+//! under 3%, default mode only records it (CI machines are too noisy for a
+//! hard floor).
 //!
 //! Modes: default — n = 2000 and 5000; `--full` — adds n = 10000 and the
 //! overhead assertion; quick ([`artifact::quick_mode`]) — one tiny scale.
-//! Output: `BENCH_memory.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
-//! in the workspace root, or the temp dir for a quick run
-//! ([`artifact::out_dir`]).
 
-use entmatcher_bench::artifact::{self, Artifact, MemoryBench, MemoryEntry};
+use entmatcher_bench::artifact::{self, Ledger, Metric, Suite};
 use entmatcher_core::score::rinf::RInf;
 use entmatcher_core::score::sinkhorn::Sinkhorn;
 use entmatcher_core::score::ScoreOptimizer;
@@ -68,7 +64,7 @@ fn random_embeddings(n: usize, d: usize, seed: u64) -> Matrix {
 
 /// Runs one stage body under a counting scope and records its row.
 fn stage(
-    entries: &mut Vec<MemoryEntry>,
+    ledger: &mut Ledger,
     name: &'static str,
     n: usize,
     modeled_bytes: u64,
@@ -86,24 +82,23 @@ fn stage(
         heap_peak_bytes as f64 / 1e6,
         modeled_bytes as f64 / 1e6,
     );
-    entries.push(MemoryEntry {
-        stage: name.to_string(),
-        n,
-        d: DIM,
-        heap_peak_bytes,
-        bytes_per_entity,
-        modeled_bytes,
-        seconds,
-    });
+    for (metric, value) in [
+        (Metric::HeapPeakBytes, heap_peak_bytes as f64),
+        (Metric::BytesPerEntity, bytes_per_entity),
+        (Metric::ModeledBytes, modeled_bytes as f64),
+        (Metric::Seconds, seconds),
+    ] {
+        ledger.push(name, n, DIM, metric, value);
+    }
 }
 
-fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
+fn bench_scale(ledger: &mut Ledger, n: usize) {
     let a = random_embeddings(n, DIM, 0xC1);
     let b = random_embeddings(n, DIM, 0xC2);
     let cell = (n * n * 4) as u64;
 
     // Dense similarity product: output cell + packed operand strips.
-    stage(entries, "gemm", n, cell + (2 * n * DIM * 4) as u64, || {
+    stage(ledger, "gemm", n, cell + (2 * n * DIM * 4) as u64, || {
         black_box(matmul_blocked(&a, &b).unwrap());
     });
 
@@ -115,7 +110,7 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
         ..Sinkhorn::default()
     };
     stage(
-        entries,
+        ledger,
         "sinkhorn",
         n,
         cell + sinkhorn.aux_bytes(n, n) as u64,
@@ -125,7 +120,7 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
     );
     let rinf_wr = RInf::without_ranking();
     stage(
-        entries,
+        ledger,
         "rinf_wr",
         n,
         2 * cell + rinf_wr.aux_bytes(n, n) as u64,
@@ -137,7 +132,7 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
 
     // Streaming CSLS (fused cosine path): normalized copies + O(n) state.
     let stream_model = streaming_aux_bytes(n, n, 10, 1024, DIM) as u64 + (2 * n * DIM * 4) as u64;
-    stage(entries, "csls_stream", n, stream_model, || {
+    stage(ledger, "csls_stream", n, stream_model, || {
         black_box(streaming_csls(&a, &b, SimilarityMetric::Cosine, 10, 1024));
     });
 
@@ -146,12 +141,12 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
     let nlist = ((n as f64).sqrt().round() as usize).max(1);
     let build_model = (2 * n * DIM * 4 + n * nlist * 4 + n * 8 + nlist * DIM * 8) as u64;
     let mut index = None;
-    stage(entries, "ivf_train", n, build_model, || {
+    stage(ledger, "ivf_train", n, build_model, || {
         index = Some(IvfIndex::build(&b, &params));
     });
     let index = index.expect("ivf_train ran");
     let probe_model = (n * (10 * 16 + nlist * 8)) as u64;
-    stage(entries, "ivf_probe", n, probe_model, || {
+    stage(ledger, "ivf_probe", n, probe_model, || {
         black_box(index.search(&a, 10, index.default_nprobe()));
     });
     drop(index);
@@ -169,7 +164,7 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
         if precision == Precision::Int8 {
             int8_packed_bytes = modeled;
         }
-        stage(entries, name, n, modeled, || {
+        stage(ledger, name, n, modeled, || {
             black_box(PackedAny::pack(&b, precision));
         });
     }
@@ -181,7 +176,7 @@ fn bench_scale(entries: &mut Vec<MemoryEntry>, n: usize) {
     let snap = std::env::temp_dir().join(format!("entmatcher_bench_snap_{n}.emtx"));
     std::fs::write(&snap, snapshot::to_bytes(&b)).expect("write bench snapshot");
     let stream_model = int8_packed_bytes + (chunk * DIM * 4) as u64;
-    stage(entries, "stream_pack_int8", n, stream_model, || {
+    stage(ledger, "stream_pack_int8", n, stream_model, || {
         black_box(pack_snapshot_stream(&snap, Precision::Int8, chunk).unwrap());
     });
     let _ = std::fs::remove_file(&snap);
@@ -219,18 +214,18 @@ fn main() {
     let quick = artifact::quick_mode();
     let full = std::env::args().any(|a| a == "--full");
 
-    let mut entries = Vec::new();
-    let overhead_pct = if quick {
-        bench_scale(&mut entries, 400);
-        gemm_overhead_pct(400, 2)
+    let mut ledger = Ledger::new(Suite::Memory, quick);
+    let (scales, overhead_n, overhead_reps): (&[usize], _, _) = if quick {
+        (&[400], 400, 2)
+    } else if full {
+        (&[2000, 5000, 10_000], 2000, 7)
     } else {
-        bench_scale(&mut entries, 2000);
-        bench_scale(&mut entries, 5000);
-        if full {
-            bench_scale(&mut entries, 10_000);
-        }
-        gemm_overhead_pct(2000, 7)
+        (&[2000, 5000], 2000, 7)
     };
+    for &n in scales {
+        bench_scale(&mut ledger, n);
+    }
+    let overhead_pct = gemm_overhead_pct(overhead_n, overhead_reps);
     eprintln!("memory: counting-allocator overhead on blocked GEMM: {overhead_pct:.2}%");
     if full {
         assert!(
@@ -239,15 +234,14 @@ fn main() {
         );
     }
 
-    let doc = MemoryBench {
-        schema: MemoryBench::SCHEMA.into(),
-        note: MemoryBench::NOTE.into(),
-        dim: DIM,
-        alloc_overhead_pct: overhead_pct,
-        quick,
-        entries,
-    };
-    let (path, doc) = artifact::write(&doc, quick);
+    ledger.push(
+        "gemm",
+        overhead_n,
+        DIM,
+        Metric::AllocOverheadPct,
+        overhead_pct,
+    );
+    let (path, ledger) = ledger.write();
 
     // Self-check: every stage present with a positive measured peak, and
     // the GEMM peak covers at least its output matrix.
@@ -263,24 +257,23 @@ fn main() {
         "pack_int8",
         "stream_pack_int8",
     ] {
+        let mut peaks = ledger.lookup(Metric::HeapPeakBytes, Some(stage));
         assert!(
-            doc.entries
-                .iter()
-                .any(|e| e.stage == stage && e.heap_peak_bytes > 0),
-            "self-check: no measured '{stage}' row in artifact"
+            peaks.any(|r| r.value > 0.0),
+            "self-check: no measured '{stage}' row in the ledger"
         );
     }
-    for e in doc.entries.iter().filter(|e| e.stage == "gemm") {
+    for r in ledger.lookup(Metric::HeapPeakBytes, Some("gemm")) {
         assert!(
-            e.heap_peak_bytes >= (e.n * e.n * 4) as u64,
+            r.value >= (r.n * r.n * 4) as f64,
             "self-check: gemm peak {} below its own output matrix",
-            e.heap_peak_bytes
+            r.value
         );
     }
     println!(
-        "memory bench: wrote {} ({} entries, overhead {:.2}%, self-check ok)",
+        "memory bench: wrote {} ({} records, overhead {:.2}%, self-check ok)",
         path.display(),
-        doc.entries.len(),
+        ledger.records.len(),
         overhead_pct
     );
 }

@@ -1,30 +1,11 @@
-//! End-to-end pipeline benchmarks: each named algorithm preset on a real
-//! generated benchmark slice (this is what the paper's per-table time
-//! columns measure — similarity + optimization + matching).
+//! Pipeline input benchmarks: the encoders and dataset generation on a
+//! generated DBP15K slice. The nine algorithm presets are timed end to end,
+//! with bounds, by `perfbench`'s `paper-dense` workload.
 
-use entmatcher_core::AlgorithmPreset;
 use entmatcher_data::{benchmarks, generate_pair};
-use entmatcher_eval::{EncoderKind, MatchTask};
+use entmatcher_eval::EncoderKind;
 use entmatcher_support::bench::{black_box, Bench};
 use std::time::Duration;
-
-fn bench_presets(b: &mut Bench) {
-    let pair = generate_pair(&benchmarks::dbp15k("D-Z", 0.05));
-    let emb = EncoderKind::Rrea.encode(&pair);
-    let task = MatchTask::from_pair(&pair);
-    let (src, tgt) = task.candidate_embeddings(&emb);
-    let ctx = task.context(&pair);
-
-    let mut group = b.group("pipeline_presets_dbp15k");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_secs(1));
-    for preset in AlgorithmPreset::all() {
-        let pipeline = preset.build();
-        group.bench(preset.name(), || black_box(pipeline.execute(&src, &tgt, &ctx)));
-    }
-    group.finish();
-}
 
 fn bench_encoders(b: &mut Bench) {
     let pair = generate_pair(&benchmarks::dbp15k("D-Z", 0.05));
@@ -52,7 +33,6 @@ fn bench_generation(b: &mut Bench) {
 
 fn main() {
     let mut b = Bench::from_args();
-    bench_presets(&mut b);
     bench_encoders(&mut b);
     bench_generation(&mut b);
 }

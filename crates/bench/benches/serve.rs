@@ -20,25 +20,19 @@
 //!   `requests_per_conn` make connection-reuse regressions visible
 //!   directly, not just through aggregate qps.
 //!
-//! `BENCH_serve.json` ([`ServeBench`], schema v2) records one row per mode
-//! with qps plus exact p50/p99 latency (computed from the sorted
-//! per-request samples, not histogram buckets). The `bench_gate` binary
-//! (`entmatcher_bench::gate`) gates **both** rows: a qps more than
-//! `gate::TOLERANCE` (20%) below the committed baseline fails, as does a p99
-//! more than 20% + `gate::SERVE_P99_SLACK_MS` (0 ms) above it, and
-//! keep-alive clients must average more than
-//! `gate::KEEPALIVE_MIN_REQUESTS_PER_CONN` (1) request per connection.
+//! `BENCH_serve.json` ([`Ledger`]) records one case per mode with qps plus
+//! exact p50/p99 latency (computed from the sorted per-request samples, not
+//! histogram buckets), and the load (`k`, `clients`, `requests_per_mode`)
+//! as the `load` case. The `bench_gate` binary gates **both** modes
+//! (`entmatcher_bench::gate::serve`).
 //!
 //! Sizes:
 //! * default — 20k entities, d = 64, 8 clients x 250 requests per mode;
 //! * quick ([`artifact::quick_mode`]) — CI smoke: 2k entities, 4 clients x
 //!   30 requests.
-//!
-//! Output: `BENCH_serve.json` in `ENTMATCHER_BENCH_OUT_DIR` when set, else
-//! in the workspace root, or the temp dir for a quick run
-//! ([`artifact::out_dir`]).
 
-use entmatcher_bench::artifact::{self, Artifact, ServeBench, ServeMode};
+use entmatcher_bench::artifact::{self, Ledger, Metric, Suite};
+use entmatcher_bench::gate::SERVE_MODES;
 use entmatcher_core::{MatchService, ServeConfig, TargetIndex};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
 use entmatcher_linalg::normalize_rows_l2;
@@ -220,8 +214,14 @@ impl KeepAliveClient {
 }
 
 /// Runs the fixed-concurrency load in the given mode and reduces it to
-/// the mode's artifact row.
-fn drive(addr: &str, mode: &str, clients: usize, requests: usize, n_source: usize) -> ServeMode {
+/// the mode's records.
+fn drive(
+    addr: &str,
+    mode: &str,
+    clients: usize,
+    requests: usize,
+    n_source: usize,
+) -> [(Metric, f64); 8] {
     let started = Instant::now();
     let per_client: Vec<(Vec<Sample>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -278,17 +278,16 @@ fn drive(addr: &str, mode: &str, clients: usize, requests: usize, n_source: usiz
          p50 {p50_ms:.2}ms p99 {p99_ms:.2}ms, mean batch {mean_batch:.1}, \
          {conns_opened} conns ({requests_per_conn:.1} req/conn)"
     );
-    ServeMode {
-        mode: mode.to_string(),
-        requests: total,
-        wall_seconds,
-        qps,
-        p50_ms,
-        p99_ms,
-        mean_batch,
-        conns_opened,
-        requests_per_conn,
-    }
+    [
+        (Metric::Requests, total as f64),
+        (Metric::Seconds, wall_seconds),
+        (Metric::Qps, qps),
+        (Metric::P50Ms, p50_ms),
+        (Metric::P99Ms, p99_ms),
+        (Metric::MeanBatch, mean_batch),
+        (Metric::ConnsOpened, conns_opened as f64),
+        (Metric::RequestsPerConn, requests_per_conn),
+    ]
 }
 
 fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
@@ -353,36 +352,29 @@ fn main() {
     }
 
     eprintln!("serve: driving {clients} clients x {requests} requests per mode (k={K})...");
-    let modes = vec![
-        drive(&addr, "fresh_conn", clients, requests, n_source),
-        drive(&addr, "keepalive", clients, requests, n_source),
-    ];
+    let mut ledger = Ledger::new(Suite::Serve, quick);
+    for (metric, value) in [
+        (Metric::K, K),
+        (Metric::Clients, clients),
+        (Metric::RequestsPerMode, clients * requests),
+    ] {
+        ledger.push("load", entities, dim, metric, value as f64);
+    }
+    for mode in SERVE_MODES {
+        for (metric, value) in drive(&addr, mode, clients, requests, n_source) {
+            ledger.push(mode, entities, dim, metric, value);
+        }
+    }
 
     server.shutdown();
     service.stop();
+    let (path, ledger) = ledger.write();
 
-    let (threads, pool_width, simd) = artifact::host();
-    let doc = ServeBench {
-        schema: ServeBench::SCHEMA.into(),
-        note: ServeBench::NOTE.into(),
-        n: entities,
-        d: dim,
-        k: K,
-        clients,
-        requests_per_mode: clients * requests,
-        modes,
-        threads,
-        pool_width,
-        simd,
-        quick,
-    };
-    let (path, doc) = artifact::write(&doc, quick);
-
-    // Self-check: two modes with finite, sane numbers. The thresholds
+    // Self-check: both modes with finite, sane numbers. The thresholds
     // against the committed baseline are the gate's.
-    assert_eq!(doc.modes.len(), 2, "two mode rows");
-    for row in &doc.modes {
-        let (mode, qps, p50, p99) = (&row.mode, row.qps, row.p50_ms, row.p99_ms);
+    for mode in SERVE_MODES {
+        let get = |metric| ledger.value(metric, mode).unwrap_or(f64::NAN);
+        let (qps, p50, p99) = (get(Metric::Qps), get(Metric::P50Ms), get(Metric::P99Ms));
         assert!(
             qps.is_finite() && qps > 0.0,
             "self-check[{mode}]: bad qps {qps}"
@@ -391,12 +383,12 @@ fn main() {
             p99.is_finite() && p99 >= p50 && p50 > 0.0,
             "self-check[{mode}]: bad latency quantiles p50={p50} p99={p99}"
         );
+        let mean_batch = get(Metric::MeanBatch);
         assert!(
-            row.mean_batch >= 1.0,
-            "self-check[{mode}]: every served request sits in a batch of >= 1, got {}",
-            row.mean_batch
+            mean_batch >= 1.0,
+            "self-check[{mode}]: every served request sits in a batch of >= 1, got {mean_batch}"
         );
-        let per_conn = row.requests_per_conn;
+        let per_conn = get(Metric::RequestsPerConn);
         if mode == "keepalive" {
             assert!(
                 per_conn > 1.0,
@@ -409,7 +401,7 @@ fn main() {
             );
         }
     }
-    let total: usize = doc.modes.iter().map(|m| m.requests).sum();
+    let total: f64 = ledger.lookup(Metric::Requests, None).map(|r| r.value).sum();
     println!(
         "serve bench: wrote {} ({total} requests across 2 modes, self-check ok)",
         path.display()

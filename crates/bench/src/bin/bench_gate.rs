@@ -1,4 +1,4 @@
-//! `bench_gate FRESH_DIR`: gates the four `BENCH_*.json` artifacts a
+//! `bench_gate FRESH_DIR`: gates the four `BENCH_*.json` ledgers a
 //! full-size bench run wrote into `FRESH_DIR` against the baselines
 //! committed in the workspace root (rules in `entmatcher_bench::gate`),
 //! printing one line per check and exiting 1 when any check fails.

@@ -21,23 +21,6 @@ use entmatcher_graph::Link;
 use entmatcher_support::json;
 use entmatcher_support::json::Json;
 
-fn report(id: &str, tables: &[TableBuilder], json: Json) -> Report {
-    Report {
-        id: id.to_owned(),
-        text: tables
-            .iter()
-            .map(|t| t.render())
-            .collect::<Vec<_>>()
-            .join("\n"),
-        markdown: tables
-            .iter()
-            .map(|t| t.render_markdown())
-            .collect::<Vec<_>>()
-            .join("\n"),
-        json,
-    }
-}
-
 /// Appendix D — case study: entities where RInf (and Hungarian) correct
 /// DInf's greedy mistakes, rendered with names and raw scores.
 pub fn appd(cfg: &Config, wb: &mut Workbench) -> Report {
@@ -85,7 +68,7 @@ pub fn appd(cfg: &Config, wb: &mut Workbench) -> Report {
         );
         tables.push(t);
     }
-    report("appd", &tables, Json::Obj(blocks))
+    Report::from_tables("appd", &tables, Json::Obj(blocks))
 }
 
 /// Future direction 5 — multi-assignment matching on the non-1-to-1
@@ -141,7 +124,7 @@ pub fn ext_multi(cfg: &Config, wb: &mut Workbench) -> Report {
         .map(|(i, j)| Link::new(task.source_candidates[i], task.target_candidates[j]))
         .collect();
     push("Probabilistic", links, &mut t);
-    report("ext-multi", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-multi", &[t], json!({ "rows": rows_json }))
 }
 
 /// Future direction 4 — streaming matching: identical decisions to the
@@ -198,7 +181,7 @@ pub fn ext_stream(cfg: &Config, wb: &mut Workbench) -> Report {
             "method": name, "f1": f1, "bytes": stream_bytes, "matches_dense": same,
         }));
     }
-    report("ext-stream", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-stream", &[t], json!({ "rows": rows_json }))
 }
 
 /// Encoder comparison: the three structural substrates (TransE, GCN, RREA)
@@ -256,7 +239,7 @@ pub fn enc(cfg: &Config, wb: &mut Workbench) -> Report {
             "mrr": rank.mrr, "dinf_f1": f1_dinf, "csls_f1": f1_csls,
         }));
     }
-    report("enc", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("enc", &[t], json!({ "rows": rows_json }))
 }
 
 /// Hubness diagnostics (paper §3.3): k-occurrence skewness, hub share and
@@ -297,13 +280,7 @@ pub fn geom(cfg: &Config, wb: &mut Workbench) -> Report {
             "isolation_rate": g.isolation_rate,
         }));
     }
-    report("geom", &[t], json!({ "rows": rows_json }))
-}
-
-// Unused-import guard for MatchPipeline (used in doc position only).
-#[allow(unused)]
-fn _uses(p: MatchPipeline, g: Greedy) -> (MatchPipeline, Greedy) {
-    (p, g)
+    Report::from_tables("geom", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]
@@ -420,7 +397,7 @@ pub fn ext_seed(cfg: &Config, wb: &mut Workbench) -> Report {
             "hun_f1": f1s[2],
         }));
     }
-    report("ext-seed", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-seed", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]
@@ -499,7 +476,7 @@ pub fn ext_block(cfg: &Config, wb: &mut Workbench) -> Report {
             "f1": f1, "seconds": secs, "dense_f1": dense_f1,
         }));
     }
-    report("ext-block", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-block", &[t], json!({ "rows": rows_json }))
 }
 
 /// Paired-bootstrap significance of the headline Table 4 orderings at the
@@ -547,7 +524,7 @@ pub fn ext_sig(cfg: &Config, wb: &mut Workbench) -> Report {
             "significant": significant,
         }));
     }
-    report("ext-sig", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-sig", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]
@@ -630,7 +607,7 @@ pub fn ext_hetero(cfg: &Config, wb: &mut Workbench) -> Report {
             "hun": f1s[2], "hun_edge": edge,
         }));
     }
-    report("ext-hetero", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-hetero", &[t], json!({ "rows": rows_json }))
 }
 
 /// Embedding-dimension ablation: alignment quality vs dimensionality for
@@ -669,7 +646,7 @@ pub fn ext_dim(cfg: &Config, wb: &mut Workbench) -> Report {
             "dim": dim, "csls_f1": f1, "hits1": rank.hits_at_1, "mrr": rank.mrr,
         }));
     }
-    report("ext-dim", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-dim", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]
@@ -729,7 +706,7 @@ pub fn ext_metric(cfg: &Config, wb: &mut Workbench) -> Report {
             "metric": metric.name(), "dinf_f1": f1s[0], "hun_f1": f1s[1],
         }));
     }
-    report("ext-metric", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("ext-metric", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]

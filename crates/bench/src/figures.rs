@@ -4,32 +4,13 @@
 use crate::tables::Report;
 use crate::{Config, Workbench};
 use entmatcher_core::{
-    Csls, Greedy, MatchContext, MatchPipeline, Matcher, NoOp, ScoreOptimizer, SimilarityMetric,
-    Sinkhorn,
+    Csls, Greedy, MatchContext, MatchPipeline, NoOp, ScoreOptimizer, SimilarityMetric, Sinkhorn,
 };
 use entmatcher_data::benchmarks;
 use entmatcher_eval::report::{fmt3, fmt_gb, fmt_secs, TableBuilder};
 use entmatcher_eval::{evaluate_links, EncoderKind, MatchTask};
 use entmatcher_linalg::Matrix;
 use entmatcher_support::json;
-use entmatcher_support::json::Json;
-
-fn report(id: &str, tables: &[TableBuilder], json: Json) -> Report {
-    Report {
-        id: id.to_owned(),
-        text: tables
-            .iter()
-            .map(|t| t.render())
-            .collect::<Vec<_>>()
-            .join("\n"),
-        markdown: tables
-            .iter()
-            .map(|t| t.render_markdown())
-            .collect::<Vec<_>>()
-            .join("\n"),
-        json,
-    }
-}
 
 /// Computes the candidate-space cosine similarity matrix for one setting.
 fn candidate_scores(
@@ -95,7 +76,7 @@ pub fn fig4(cfg: &Config, wb: &mut Workbench) -> Report {
         ]);
         rows_json.push(json!({ "setting": name, "top5_std": std, "top1_margin": margin }));
     }
-    report("fig4", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("fig4", &[t], json!({ "rows": rows_json }))
 }
 
 /// Figure 5 — time and memory comparison of the seven algorithms on the
@@ -187,7 +168,11 @@ pub fn fig5(cfg: &Config, wb: &mut Workbench) -> Report {
             ]);
         }
     }
-    report("fig5", &[time_t, mem_t, stage_t], json!({ "rows": rows_json }))
+    Report::from_tables(
+        "fig5",
+        &[time_t, mem_t, stage_t],
+        json!({ "rows": rows_json }),
+    )
 }
 
 /// Sweeps one score optimizer's hyper-parameter, reporting F1 per value.
@@ -255,7 +240,7 @@ pub fn fig6(cfg: &Config, wb: &mut Workbench) -> Report {
             "f1": curve.iter().map(|(_, f)| *f).collect::<Vec<_>>(),
         }));
     }
-    report("fig6", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("fig6", &[t], json!({ "rows": rows_json }))
 }
 
 /// Figure 7 — Sinkhorn F1 as a function of the iteration count l.
@@ -300,7 +285,7 @@ pub fn fig7(cfg: &Config, wb: &mut Workbench) -> Report {
             "f1": curve.iter().map(|(_, f)| *f).collect::<Vec<_>>(),
         }));
     }
-    report("fig7", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("fig7", &[t], json!({ "rows": rows_json }))
 }
 
 /// Appendix C — CSLS k under the non-1-to-1 setting, where k = 1 loses its
@@ -333,7 +318,7 @@ pub fn appc(cfg: &Config, wb: &mut Workbench) -> Report {
             "f1": curve.iter().map(|(_, f)| *f).collect::<Vec<_>>(),
         }));
     }
-    report("appc", &[t], json!({ "rows": rows_json }))
+    Report::from_tables("appc", &[t], json!({ "rows": rows_json }))
 }
 
 /// §4.3 — the deepmatcher-style DL-EM baseline: train an MLP pair
@@ -377,14 +362,7 @@ pub fn dlem(cfg: &Config, wb: &mut Workbench) -> Report {
         t.row(vec![name.into(), fmt3(dl_f1), fmt3(dinf_f1)]);
         rows_json.push(json!({ "embeddings": name, "dl_em_f1": dl_f1, "dinf_f1": dinf_f1 }));
     }
-    report("dlem", &[t], json!({ "rows": rows_json }))
-}
-
-// Matcher is used through the pipeline; silence the unused-import lint in
-// builds without tests.
-#[allow(unused)]
-fn _assert_traits(m: &dyn Matcher) -> &str {
-    m.name()
+    Report::from_tables("dlem", &[t], json!({ "rows": rows_json }))
 }
 
 #[cfg(test)]

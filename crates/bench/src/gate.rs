@@ -1,12 +1,12 @@
-//! The perf gate: a fresh full-size run of the four artifact benches against
+//! The perf gate: a fresh full-size run of the four ledger benches against
 //! the committed baselines. `scripts/bench_gate.sh` runs the benches into
 //! one directory, then the `bench_gate` binary calls [`run`] on it.
 //!
 //! Every check yields one `ok` or `FAIL` line, and the gate fails when any
 //! check fails. A gated kernel, a qualifying ANN row, a (stage, n) memory
-//! row or a serve mode missing from either artifact is a failed check.
+//! row or a serve mode missing from either ledger is a failed check.
 
-use crate::artifact::{self, AnnBench, Artifact, KernelBench, MemoryBench, ServeBench, ServeMode};
+use crate::artifact::{Ledger, Metric, Record, Suite};
 use std::path::Path;
 
 /// Relative tolerance of every comparison against a baseline.
@@ -80,30 +80,22 @@ impl Report {
 }
 
 /// Largest positive value, if any.
-fn best(values: impl Iterator<Item = f64>) -> Option<f64> {
-    values.filter(|&v| v > 0.0).reduce(f64::max)
+fn best<'a>(records: impl Iterator<Item = &'a Record>) -> Option<f64> {
+    records
+        .map(|r| r.value)
+        .filter(|&v| v > 0.0)
+        .reduce(f64::max)
 }
 
-/// Best GFLOP/s of `kernel` over its entries.
-fn best_gflops(doc: &KernelBench, kernel: &str) -> Option<f64> {
-    best(
-        doc.entries
-            .iter()
-            .filter(|e| e.kernel == kernel)
-            .map(|e| e.gflops),
-    )
-}
-
-/// Each gated kernel at most [`TOLERANCE`] below its baseline, and each
-/// quantized kernel at [`QUANT_GFLOPS_FLOOR`] of the same run's `blocked`.
-pub fn kernels(r: &mut Report, base: &KernelBench, fresh: &KernelBench) {
+/// Each gated kernel's best GFLOP/s at most [`TOLERANCE`] below its
+/// baseline, and each quantized kernel at [`QUANT_GFLOPS_FLOOR`] of the same
+/// run's `blocked`.
+pub fn kernels(r: &mut Report, base: &Ledger, fresh: &Ledger) {
+    let best_gflops = |l: &Ledger, kernel| best(l.lookup(Metric::Gflops, Some(kernel)));
     for kernel in GATED_KERNELS {
         let floor = best_gflops(base, kernel).map(|b| b * (1.0 - TOLERANCE));
-        r.at_least(
-            &format!("{kernel} GFLOP/s vs baseline"),
-            best_gflops(fresh, kernel),
-            floor,
-        );
+        let what = format!("{kernel} GFLOP/s vs baseline");
+        r.at_least(&what, best_gflops(fresh, kernel), floor);
     }
     let floor = best_gflops(fresh, "blocked").map(|b| b * QUANT_GFLOPS_FLOOR);
     for kernel in ["blocked_f16", "blocked_int8"] {
@@ -112,84 +104,65 @@ pub fn kernels(r: &mut Report, base: &KernelBench, fresh: &KernelBench) {
     }
 }
 
-/// Best speedup among sweep rows at recall@10 >= [`ANN_RECALL_FLOOR`].
-fn best_speedup(doc: &AnnBench) -> Option<f64> {
-    let qualifying = doc
-        .entries
-        .iter()
-        .filter(|e| e.recall_at_10 >= ANN_RECALL_FLOOR);
-    best(qualifying.map(|e| e.speedup))
+/// Best speedup among probe widths at recall@10 >= [`ANN_RECALL_FLOOR`].
+fn best_speedup(l: &Ledger) -> Option<f64> {
+    let recalls = l.lookup(Metric::RecallAt10, None);
+    let qualifying = recalls.filter(|q| q.value >= ANN_RECALL_FLOOR);
+    best(qualifying.flat_map(|q| l.lookup(Metric::Speedup, Some(&q.case))))
 }
 
 /// Some probe width reaches [`ANN_RECALL_FLOOR`] at [`ANN_SPEEDUP_FLOOR`],
 /// and the best such speedup is at most [`TOLERANCE`] below the baseline's.
-pub fn ann(r: &mut Report, base: &AnnBench, fresh: &AnnBench) {
+pub fn ann(r: &mut Report, base: &Ledger, fresh: &Ledger) {
     let floor = best_speedup(base).map(|b| (b * (1.0 - TOLERANCE)).max(ANN_SPEEDUP_FLOOR));
     let what = format!("ann speedup at recall@10 >= {ANN_RECALL_FLOOR} vs baseline");
     r.at_least(&what, best_speedup(fresh), floor);
 }
 
-/// Measured bytes/entity of the (`stage`, `n`) row.
-fn bytes_per_entity(doc: &MemoryBench, stage: &str, n: usize) -> Option<f64> {
-    let row = doc.entries.iter().find(|e| e.stage == stage && e.n == n);
-    row.map(|e| e.bytes_per_entity)
-}
-
-/// Each (stage, n) row of either artifact at most [`TOLERANCE`] above the
+/// Each (stage, n) row of either ledger at most [`TOLERANCE`] above the
 /// baseline's bytes/entity — one-sided, since using less memory never
 /// fails — and `pack_int8` at least [`QUANT_RATIO_FLOOR`] times smaller
 /// than `pack_f32` at every n of the fresh run.
-pub fn memory(r: &mut Report, base: &MemoryBench, fresh: &MemoryBench) {
-    let unbaselined = fresh
-        .entries
-        .iter()
-        .filter(|e| bytes_per_entity(base, &e.stage, e.n).is_none());
-    for e in base.entries.iter().chain(unbaselined) {
-        let what = format!("{} n={} B/entity vs baseline", e.stage, e.n);
-        let ceiling = bytes_per_entity(base, &e.stage, e.n).map(|b| b * (1.0 + TOLERANCE));
-        r.at_most(&what, bytes_per_entity(fresh, &e.stage, e.n), ceiling);
+pub fn memory(r: &mut Report, base: &Ledger, fresh: &Ledger) {
+    let bytes = |l: &Ledger, stage: &str, n| {
+        let mut rows = l.lookup(Metric::BytesPerEntity, Some(stage));
+        rows.find(|r| r.n == n).map(|r| r.value)
+    };
+    let fresh_rows = fresh.lookup(Metric::BytesPerEntity, None);
+    let unbaselined = fresh_rows.filter(|e| bytes(base, &e.case, e.n).is_none());
+    for e in base.lookup(Metric::BytesPerEntity, None).chain(unbaselined) {
+        let what = format!("{} n={} B/entity vs baseline", e.case, e.n);
+        let ceiling = bytes(base, &e.case, e.n).map(|b| b * (1.0 + TOLERANCE));
+        r.at_most(&what, bytes(fresh, &e.case, e.n), ceiling);
     }
     let f32_rows: Vec<_> = fresh
-        .entries
-        .iter()
-        .filter(|e| e.stage == "pack_f32")
+        .lookup(Metric::BytesPerEntity, Some("pack_f32"))
         .collect();
     if f32_rows.is_empty() {
         r.missing("pack_f32/pack_int8 B/entity");
     }
     for e in f32_rows {
-        let ratio = bytes_per_entity(fresh, "pack_int8", e.n).map(|i| e.bytes_per_entity / i);
+        let ratio = bytes(fresh, "pack_int8", e.n).map(|i| e.value / i);
         let what = format!("pack_f32/pack_int8 n={} B/entity", e.n);
         r.at_least(&what, ratio, Some(QUANT_RATIO_FLOOR));
     }
 }
 
-/// The `mode` row of a serve artifact.
-fn serve_mode<'a>(doc: &'a ServeBench, mode: &str) -> Option<&'a ServeMode> {
-    doc.modes.iter().find(|m| m.mode == mode)
-}
-
 /// Per mode, qps at most [`TOLERANCE`] below the baseline and p99 at most
 /// [`TOLERANCE`] (plus [`SERVE_P99_SLACK_MS`]) above it; and keep-alive
 /// clients reuse their connections.
-pub fn serve(r: &mut Report, base: &ServeBench, fresh: &ServeBench) {
+pub fn serve(r: &mut Report, base: &Ledger, fresh: &Ledger) {
     for mode in SERVE_MODES {
-        let (b, f) = (serve_mode(base, mode), serve_mode(fresh, mode));
-        let floor = b.map(|b| b.qps * (1.0 - TOLERANCE));
-        r.at_least(
-            &format!("serve[{mode}] qps vs baseline"),
-            f.map(|f| f.qps),
-            floor,
-        );
-        let ceiling = b.map(|b| b.p99_ms * (1.0 + TOLERANCE) + SERVE_P99_SLACK_MS);
-        r.at_most(
-            &format!("serve[{mode}] p99 ms vs baseline"),
-            f.map(|f| f.p99_ms),
-            ceiling,
-        );
+        let get = |l: &Ledger, metric| l.value(metric, mode);
+        let floor = get(base, Metric::Qps).map(|b| b * (1.0 - TOLERANCE));
+        let what = format!("serve[{mode}] qps vs baseline");
+        r.at_least(&what, get(fresh, Metric::Qps), floor);
+        let ceiling = get(base, Metric::P99Ms).map(|b| b * (1.0 + TOLERANCE) + SERVE_P99_SLACK_MS);
+        let what = format!("serve[{mode}] p99 ms vs baseline");
+        r.at_most(&what, get(fresh, Metric::P99Ms), ceiling);
     }
     let what = "serve[keepalive] requests/connection";
-    match serve_mode(fresh, "keepalive").map(|k| k.requests_per_conn) {
+    match fresh.value(Metric::RequestsPerConn, "keepalive") {
         Some(v) => r.check(
             v > KEEPALIVE_MIN_REQUESTS_PER_CONN,
             format!("{what}: {v:.2} (must exceed {KEEPALIVE_MIN_REQUESTS_PER_CONN})"),
@@ -198,28 +171,31 @@ pub fn serve(r: &mut Report, base: &ServeBench, fresh: &ServeBench) {
     }
 }
 
-/// Reads one artifact from both directories and applies `gate` to the pair.
-fn pair<A: Artifact>(r: &mut Report, base: &Path, fresh: &Path, gate: fn(&mut Report, &A, &A)) {
-    match (artifact::read::<A>(base), artifact::read::<A>(fresh)) {
-        (Ok(b), Ok(f)) => gate(r, &b, &f),
-        (Err(e), _) | (_, Err(e)) => r.check(false, e),
-    }
-}
-
-/// Gates the four artifacts in `fresh_dir` against those in `base_dir`.
+/// Gates the four ledgers in `fresh_dir` against those in `base_dir`.
 pub fn run(base_dir: &Path, fresh_dir: &Path) -> Report {
     let mut r = Report::default();
-    pair(&mut r, base_dir, fresh_dir, kernels);
-    pair(&mut r, base_dir, fresh_dir, ann);
-    pair(&mut r, base_dir, fresh_dir, memory);
-    pair(&mut r, base_dir, fresh_dir, serve);
+    for suite in [Suite::Kernels, Suite::Ann, Suite::Memory, Suite::Serve] {
+        let rules = match suite {
+            Suite::Kernels => kernels,
+            Suite::Ann => ann,
+            Suite::Memory => memory,
+            Suite::Serve => serve,
+        };
+        match (
+            Ledger::read(base_dir, suite),
+            Ledger::read(fresh_dir, suite),
+        ) {
+            (Ok(b), Ok(f)) => rules(&mut r, &b, &f),
+            (Err(e), _) | (_, Err(e)) => r.check(false, e),
+        }
+    }
     r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{AnnEntry, KernelEntry, MemoryEntry};
+    use crate::artifact;
 
     fn fails(r: &Report) -> Vec<&str> {
         let failed = r.lines.iter().filter(|l| l.starts_with("FAIL"));
@@ -234,23 +210,38 @@ mod tests {
         bound * (1.0 - 1e-9)
     }
 
+    /// A ledger of `(case, n, metric, value)` records.
+    fn ledger(suite: Suite, rows: &[(&str, usize, Metric, f64)]) -> Ledger {
+        let mut l = Ledger::new(suite, false);
+        for &(case, n, metric, value) in rows {
+            l.push(case, n, 64, metric, value);
+        }
+        l
+    }
+
+    /// Sets `metric` of every `case` record to `value`.
+    fn set(l: &mut Ledger, case: &str, metric: Metric, value: f64) {
+        let rows = l.records.iter_mut();
+        for r in rows.filter(|r| r.case == case && r.metric == metric) {
+            r.value = value;
+        }
+    }
+
+    fn gate(rules: fn(&mut Report, &Ledger, &Ledger), base: &Ledger, fresh: &Ledger) -> Report {
+        let mut r = Report::default();
+        rules(&mut r, base, fresh);
+        r
+    }
+
     #[test]
     fn committed_artifacts_round_trip_and_pass_against_themselves() {
-        fn round_trip<A: Artifact>(root: &Path) {
-            let text = std::fs::read_to_string(root.join(A::FILE)).unwrap();
-            let doc: A = artifact::read(root).unwrap();
-            assert_eq!(
-                doc.to_json().pretty(),
-                text,
-                "{} is not reproduced",
-                A::FILE
-            );
-        }
         let root = artifact::workspace_root();
-        round_trip::<KernelBench>(&root);
-        round_trip::<AnnBench>(&root);
-        round_trip::<MemoryBench>(&root);
-        round_trip::<ServeBench>(&root);
+        for suite in [Suite::Kernels, Suite::Ann, Suite::Memory, Suite::Serve] {
+            let text = std::fs::read_to_string(root.join(suite.file())).unwrap();
+            let doc = Ledger::read(&root, suite).unwrap();
+            assert_eq!(doc.suite, suite);
+            assert_eq!(doc.to_text(), text, "{} is not reproduced", suite.file());
+        }
 
         let report = run(&root, &root);
         assert!(report.passed(), "{:#?}", report.lines);
@@ -267,64 +258,51 @@ mod tests {
         assert_eq!(report.failures, 4, "{:#?}", report.lines);
     }
 
-    fn kernel_doc(rows: &[(&str, f64)]) -> KernelBench {
-        let entry = |&(kernel, gflops): &(&str, f64)| KernelEntry {
-            kernel: kernel.into(),
-            gflops,
-            ..KernelEntry::default()
-        };
-        KernelBench {
-            entries: rows.iter().map(entry).collect(),
-            ..KernelBench::default()
-        }
+    fn kernel_doc(rows: &[(&str, f64)]) -> Ledger {
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|&(k, v)| (k, 2000, Metric::Gflops, v))
+            .collect();
+        ledger(Suite::Kernels, &rows)
     }
 
-    fn gate_kernels(base: &KernelBench, fresh: &KernelBench) -> Report {
-        let mut r = Report::default();
-        kernels(&mut r, base, fresh);
-        r
-    }
+    const KERNELS: [(&str, f64); 4] = [
+        ("blocked", 100.0),
+        ("blocked_scalar", 50.0),
+        ("blocked_f16", 60.0),
+        ("blocked_int8", 60.0),
+    ];
 
     #[test]
     fn kernel_baseline_floor_holds_at_the_threshold_and_fails_past_it() {
-        let base = kernel_doc(&[
-            ("blocked", 100.0),
-            ("blocked", 40.0),
-            ("blocked_scalar", 50.0),
-            ("blocked_f16", 60.0),
-            ("blocked_int8", 60.0),
-        ]);
-        for (i, kernel) in [(0, "blocked"), (2, "blocked_scalar")] {
-            let floor = base.entries[i].gflops * (1.0 - TOLERANCE);
+        let mut base = kernel_doc(&KERNELS);
+        base.push("blocked", 10_000, 128, Metric::Gflops, 40.0);
+        for kernel in ["blocked", "blocked_scalar"] {
+            let floor = base.value(Metric::Gflops, kernel).unwrap() * (1.0 - TOLERANCE);
             let mut fresh = base.clone();
-            fresh.entries[i].gflops = floor;
-            assert!(gate_kernels(&base, &fresh).passed());
-            fresh.entries[i].gflops = below(floor);
-            let r = gate_kernels(&base, &fresh);
+            set(&mut fresh, kernel, Metric::Gflops, floor);
+            assert!(gate(kernels, &base, &fresh).passed());
+            set(&mut fresh, kernel, Metric::Gflops, below(floor));
+            let r = gate(kernels, &base, &fresh);
             assert_eq!(fails(&r).len(), 1, "{:#?}", r.lines);
             assert!(fails(&r)[0].contains(&format!("{kernel} GFLOP/s vs baseline")));
         }
-        // The best entry of a kernel is gated: a slow second row is fine.
+        // The best record of a kernel is gated: a slow second row is fine.
         let mut fresh = base.clone();
-        fresh.entries[1].gflops = 1.0;
-        assert!(gate_kernels(&base, &fresh).passed());
+        fresh.records.last_mut().unwrap().value = 1.0;
+        assert!(gate(kernels, &base, &fresh).passed());
     }
 
     #[test]
     fn quantized_kernels_hold_their_share_of_f32_blocked() {
-        let base = kernel_doc(&[
-            ("blocked", 100.0),
-            ("blocked_scalar", 50.0),
-            ("blocked_f16", 60.0),
-            ("blocked_int8", 60.0),
-        ]);
+        let base = kernel_doc(&KERNELS);
         let floor = 100.0 * QUANT_GFLOPS_FLOOR;
-        for i in [2, 3] {
+        for kernel in ["blocked_f16", "blocked_int8"] {
             let mut fresh = base.clone();
-            fresh.entries[i].gflops = floor;
-            assert!(gate_kernels(&base, &fresh).passed());
-            fresh.entries[i].gflops = below(floor);
-            let r = gate_kernels(&base, &fresh);
+            set(&mut fresh, kernel, Metric::Gflops, floor);
+            assert!(gate(kernels, &base, &fresh).passed());
+            set(&mut fresh, kernel, Metric::Gflops, below(floor));
+            let r = gate(kernels, &base, &fresh);
             assert_eq!(fails(&r).len(), 1, "{:#?}", r.lines);
             assert!(fails(&r)[0].contains("vs f32 blocked"));
         }
@@ -332,39 +310,31 @@ mod tests {
 
     #[test]
     fn a_missing_kernel_in_either_artifact_fails() {
-        let full = kernel_doc(&[
-            ("blocked", 100.0),
-            ("blocked_scalar", 50.0),
-            ("blocked_f16", 60.0),
-            ("blocked_int8", 60.0),
-        ]);
+        let full = kernel_doc(&KERNELS);
         for i in 0..4 {
             let mut short = full.clone();
-            let gone = short.entries.remove(i).kernel;
+            let gone = short.records.remove(i).case;
             for (base, fresh) in [(&short, &full), (&full, &short)] {
-                let r = gate_kernels(base, fresh);
+                let r = gate(kernels, base, fresh);
                 assert!(!r.passed(), "{gone}: {:#?}", r.lines);
                 assert!(fails(&r).iter().all(|l| l.contains("missing")));
             }
         }
     }
 
-    fn ann_doc(rows: &[(f64, f64)]) -> AnnBench {
-        let entry = |&(recall_at_10, speedup): &(f64, f64)| AnnEntry {
-            recall_at_10,
-            speedup,
-            ..AnnEntry::default()
-        };
-        AnnBench {
-            entries: rows.iter().map(entry).collect(),
-            ..AnnBench::default()
+    /// One `nprobe=i` case per `(recall, speedup)` row.
+    fn ann_doc(rows: &[(f64, f64)]) -> Ledger {
+        let mut l = ledger(Suite::Ann, &[]);
+        for (i, &(recall, speedup)) in rows.iter().enumerate() {
+            let case = format!("nprobe={}", i + 1);
+            l.push(&case, 1000, 64, Metric::RecallAt10, recall);
+            l.push(&case, 1000, 64, Metric::Speedup, speedup);
         }
+        l
     }
 
-    fn gate_ann(base: &AnnBench, fresh: &AnnBench) -> bool {
-        let mut r = Report::default();
-        ann(&mut r, base, fresh);
-        r.passed()
+    fn gate_ann(base: &Ledger, fresh: &Ledger) -> bool {
+        gate(ann, base, fresh).passed()
     }
 
     #[test]
@@ -391,23 +361,12 @@ mod tests {
         assert!(!gate_ann(&ann_doc(&[(0.5, 10.0)]), &base));
     }
 
-    fn memory_doc(rows: &[(&str, usize, f64)]) -> MemoryBench {
-        let entry = |&(stage, n, bytes_per_entity): &(&str, usize, f64)| MemoryEntry {
-            stage: stage.into(),
-            n,
-            bytes_per_entity,
-            ..MemoryEntry::default()
-        };
-        MemoryBench {
-            entries: rows.iter().map(entry).collect(),
-            ..MemoryBench::default()
-        }
-    }
-
-    fn gate_memory(base: &MemoryBench, fresh: &MemoryBench) -> Report {
-        let mut r = Report::default();
-        memory(&mut r, base, fresh);
-        r
+    fn memory_doc(rows: &[(&str, usize, f64)]) -> Ledger {
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|&(stage, n, v)| (stage, n, Metric::BytesPerEntity, v))
+            .collect();
+        ledger(Suite::Memory, &rows)
     }
 
     const MEMORY_ROWS: [(&str, usize, f64); 6] = [
@@ -427,15 +386,15 @@ mod tests {
             let row = format!("{stage} n={n} B/entity vs baseline");
             let ceiling = bytes * (1.0 + TOLERANCE);
             let mut fresh = base.clone();
-            fresh.entries[i].bytes_per_entity = ceiling;
-            let r = gate_memory(&base, &fresh);
+            fresh.records[i].value = ceiling;
+            let r = gate(memory, &base, &fresh);
             assert!(
                 fails(&r).iter().all(|l| !l.contains(&row)),
                 "{:#?}",
                 r.lines
             );
-            fresh.entries[i].bytes_per_entity = above(ceiling);
-            let r = gate_memory(&base, &fresh);
+            fresh.records[i].value = above(ceiling);
+            let r = gate(memory, &base, &fresh);
             assert!(fails(&r).iter().any(|l| l.contains(&row)), "{:#?}", r.lines);
         }
     }
@@ -444,8 +403,10 @@ mod tests {
     fn a_regression_in_the_first_memory_row_fails_while_the_last_passes() {
         let base = memory_doc(&MEMORY_ROWS);
         let mut fresh = base.clone();
-        fresh.entries[0].bytes_per_entity *= 2.0;
-        let r = gate_memory(&base, &fresh);
+        fresh.records[0].value *= 2.0;
+        // Other metrics of a stage are not memory rows.
+        fresh.push("gemm", 2000, 64, Metric::AllocOverheadPct, 1e9);
+        let r = gate(memory, &base, &fresh);
         assert_eq!(
             fails(&r),
             ["FAIL: gemm n=2000 B/entity vs baseline: 16000.00 (ceiling 9600.00)"]
@@ -457,11 +418,11 @@ mod tests {
     fn int8_pack_ratio_holds_at_the_threshold_and_fails_past_it() {
         let base = memory_doc(&MEMORY_ROWS);
         assert_eq!(350.0 / 100.0, QUANT_RATIO_FLOOR);
-        assert!(gate_memory(&base, &base).passed());
+        assert!(gate(memory, &base, &base).passed());
         for i in [2, 5] {
             let mut fresh = base.clone();
-            fresh.entries[i].bytes_per_entity = above(100.0);
-            let r = gate_memory(&base, &fresh);
+            fresh.records[i].value = above(100.0);
+            let r = gate(memory, &base, &fresh);
             assert_eq!(fails(&r).len(), 1, "{:#?}", r.lines);
             assert!(fails(&r)[0].contains("pack_f32/pack_int8"));
         }
@@ -472,56 +433,46 @@ mod tests {
         let full = memory_doc(&MEMORY_ROWS);
         for i in 0..MEMORY_ROWS.len() {
             let mut short = full.clone();
-            short.entries.remove(i);
+            short.records.remove(i);
             assert!(
-                !gate_memory(&short, &full).passed(),
+                !gate(memory, &short, &full).passed(),
                 "baseline lacks row {i}"
             );
             assert!(
-                !gate_memory(&full, &short).passed(),
+                !gate(memory, &full, &short).passed(),
                 "fresh run lacks row {i}"
             );
         }
-        assert!(!gate_memory(&memory_doc(&[]), &memory_doc(&[])).passed());
+        assert!(!gate(memory, &memory_doc(&[]), &memory_doc(&[])).passed());
     }
 
-    fn serve_doc() -> ServeBench {
-        let mode = |mode: &str, qps, p99_ms, requests_per_conn| ServeMode {
-            mode: mode.into(),
-            qps,
-            p99_ms,
-            requests_per_conn,
-            ..ServeMode::default()
-        };
-        ServeBench {
-            modes: vec![
-                mode("fresh_conn", 1000.0, 5.0, 1.0),
-                mode("keepalive", 2000.0, 4.0, 250.0),
-            ],
-            ..ServeBench::default()
+    fn serve_doc() -> Ledger {
+        let mut rows = Vec::new();
+        for (mode, qps, p99_ms, per_conn) in [
+            ("fresh_conn", 1000.0, 5.0, 1.0),
+            ("keepalive", 2000.0, 4.0, 250.0),
+        ] {
+            rows.push((mode, 20_000, Metric::Qps, qps));
+            rows.push((mode, 20_000, Metric::P99Ms, p99_ms));
+            rows.push((mode, 20_000, Metric::RequestsPerConn, per_conn));
         }
-    }
-
-    fn gate_serve(base: &ServeBench, fresh: &ServeBench) -> Report {
-        let mut r = Report::default();
-        serve(&mut r, base, fresh);
-        r
+        ledger(Suite::Serve, &rows)
     }
 
     #[test]
     fn serve_bounds_hold_at_the_threshold_and_fail_past_it() {
         let base = serve_doc();
-        for i in 0..2 {
-            let b = &base.modes[i];
-            let floor = b.qps * (1.0 - TOLERANCE);
-            let ceiling = b.p99_ms * (1.0 + TOLERANCE) + SERVE_P99_SLACK_MS;
+        for mode in SERVE_MODES {
+            let get = |metric| base.value(metric, mode).unwrap();
+            let floor = get(Metric::Qps) * (1.0 - TOLERANCE);
+            let ceiling = get(Metric::P99Ms) * (1.0 + TOLERANCE) + SERVE_P99_SLACK_MS;
             let mut fresh = base.clone();
-            fresh.modes[i].qps = floor;
-            fresh.modes[i].p99_ms = ceiling;
-            assert!(gate_serve(&base, &fresh).passed());
-            fresh.modes[i].qps = below(floor);
-            fresh.modes[i].p99_ms = above(ceiling);
-            assert_eq!(gate_serve(&base, &fresh).failures, 2);
+            set(&mut fresh, mode, Metric::Qps, floor);
+            set(&mut fresh, mode, Metric::P99Ms, ceiling);
+            assert!(gate(serve, &base, &fresh).passed());
+            set(&mut fresh, mode, Metric::Qps, below(floor));
+            set(&mut fresh, mode, Metric::P99Ms, above(ceiling));
+            assert_eq!(gate(serve, &base, &fresh).failures, 2);
         }
     }
 
@@ -529,22 +480,33 @@ mod tests {
     fn keepalive_clients_must_reuse_connections() {
         let base = serve_doc();
         let mut fresh = base.clone();
-        fresh.modes[1].requests_per_conn = KEEPALIVE_MIN_REQUESTS_PER_CONN;
-        let r = gate_serve(&base, &fresh);
+        let reuse = Metric::RequestsPerConn;
+        set(
+            &mut fresh,
+            "keepalive",
+            reuse,
+            KEEPALIVE_MIN_REQUESTS_PER_CONN,
+        );
+        let r = gate(serve, &base, &fresh);
         assert_eq!(fails(&r).len(), 1, "{:#?}", r.lines);
         assert!(fails(&r)[0].contains("requests/connection"));
-        fresh.modes[1].requests_per_conn = above(KEEPALIVE_MIN_REQUESTS_PER_CONN);
-        assert!(gate_serve(&base, &fresh).passed());
+        set(
+            &mut fresh,
+            "keepalive",
+            reuse,
+            above(KEEPALIVE_MIN_REQUESTS_PER_CONN),
+        );
+        assert!(gate(serve, &base, &fresh).passed());
     }
 
     #[test]
     fn a_missing_serve_mode_in_either_artifact_fails() {
         let full = serve_doc();
-        for i in 0..2 {
+        for mode in SERVE_MODES {
             let mut short = full.clone();
-            short.modes.remove(i);
-            assert!(!gate_serve(&short, &full).passed());
-            assert!(!gate_serve(&full, &short).passed());
+            short.records.retain(|r| r.case != mode);
+            assert!(!gate(serve, &short, &full).passed());
+            assert!(!gate(serve, &full, &short).passed());
         }
     }
 }

@@ -6,7 +6,7 @@
 //! (`table2` … `table8`, `fig4` … `fig7`, `dlem`, `appc`, `all`); this
 //! library holds the shared machinery — configuration, dataset/embedding
 //! caches, paper reference numbers — and one module per artifact family.
-//! [`artifact`] types the committed `BENCH_*.json` perf artifacts, and
+//! [`artifact`] types the committed `BENCH_*.json` perf ledgers, and
 //! [`gate`] (the `bench_gate` binary) gates fresh runs against them.
 
 pub mod artifact;

@@ -25,7 +25,8 @@ pub struct Report {
 }
 
 impl Report {
-    fn from_tables(id: &str, tables: &[TableBuilder], json: Json) -> Self {
+    /// Renders `tables` as text and markdown next to `json`.
+    pub(crate) fn from_tables(id: &str, tables: &[TableBuilder], json: Json) -> Self {
         Report {
             id: id.to_owned(),
             text: tables

@@ -180,19 +180,20 @@ pub fn save_pair_dir(dir: &Path, pair: &KgPair) -> Result<()> {
         &pair.source,
         &pair.target,
     )?;
-    if !pair.unmatchable_sources.is_empty() {
-        write_entity_list(
-            &dir.join("unmatchable_1"),
-            &pair.unmatchable_sources,
-            &pair.source,
-        )?;
-    }
-    if !pair.unmatchable_targets.is_empty() {
-        write_entity_list(
-            &dir.join("unmatchable_2"),
-            &pair.unmatchable_targets,
-            &pair.target,
-        )?;
+    for (file, entities, kg) in [
+        ("unmatchable_1", &pair.unmatchable_sources, &pair.source),
+        ("unmatchable_2", &pair.unmatchable_targets, &pair.target),
+    ] {
+        let path = dir.join(file);
+        if !entities.is_empty() {
+            write_entity_list(&path, entities, kg)?;
+        } else if let Err(e) = std::fs::remove_file(&path) {
+            // An empty list is no file, so a list left by an earlier pair in
+            // this directory must go or it would load as this pair's.
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(e.into());
+            }
+        }
     }
     Ok(())
 }
@@ -312,6 +313,34 @@ mod tests {
             Some("u2")
         );
         assert!(loaded.unmatchable_targets.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn saving_a_pair_without_unmatchables_removes_stale_lists() {
+        let dir = temp_dir("stale-unmatchable");
+        let mut first = build_sample_pair();
+        first.unmatchable_sources = vec![first.source.entity_id("u2").unwrap()];
+        first.unmatchable_targets = vec![first.target.entity_id("v2").unwrap()];
+        save_pair_dir(&dir, &first).unwrap();
+        // A second pair without `v2`: the stale `unmatchable_2` would name
+        // an entity its target KG lacks.
+        let mut t = KgBuilder::new("KG2");
+        t.add_triple("w0", "linked_to", "w1");
+        let target = t.build().unwrap();
+        let gold = AlignmentSet::new(vec![
+            Link::new(crate::EntityId(0), target.entity_id("w0").unwrap()),
+            Link::new(crate::EntityId(1), target.entity_id("w1").unwrap()),
+        ]);
+        let second = KgPair::new("second", first.source.clone(), target, gold, 5).unwrap();
+        save_pair_dir(&dir, &second).unwrap();
+        assert!(!dir.join("unmatchable_1").exists());
+        assert!(!dir.join("unmatchable_2").exists());
+        let loaded = load_pair_dir(&dir, 5).unwrap();
+        assert!(loaded.unmatchable_sources.is_empty());
+        assert!(loaded.unmatchable_targets.is_empty());
+        assert_eq!(loaded.target.entity_name(crate::EntityId(0)), Some("w0"));
+        assert_eq!(loaded.gold.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

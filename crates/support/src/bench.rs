@@ -46,6 +46,16 @@ pub struct BenchStats {
 /// Re-exported name parity with `criterion::black_box`.
 pub use std::hint::black_box;
 
+/// Whether this bench run is a quick smoke: `ENTMATCHER_BENCH_QUICK=1`, or
+/// `--test`/`--quick` on the command line (cargo passes `--test` when it
+/// runs a bench target as a test).
+pub fn quick_mode() -> bool {
+    std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1")
+        || std::env::args()
+            .skip(1)
+            .any(|a| a == "--test" || a == "--quick")
+}
+
 /// Top-level harness state parsed from the command line.
 pub struct Bench {
     filter: Option<String>,
@@ -55,16 +65,13 @@ pub struct Bench {
 impl Bench {
     /// Builds the harness from `std::env::args`, tolerating every flag
     /// cargo's bench/test runners pass (`--bench`, `--test`, `--quiet`,
-    /// `--color`, ...). The first non-flag argument is the name filter.
+    /// `--color`, ...). The first non-flag argument is the name filter, and
+    /// [`quick_mode`] decides the smoke mode.
     pub fn from_args() -> Self {
         let mut filter = None;
-        let mut quick = std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1");
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                // cargo test runs bench binaries with --test-like args;
-                // treat any of these as "smoke mode".
-                "--test" | "--quick" => quick = true,
                 // Flags with a value we must consume and ignore.
                 "--color" | "--format" | "--logfile" | "--skip" | "-Z" => {
                     let _ = args.next();
@@ -73,7 +80,10 @@ impl Bench {
                 a => filter = Some(a.to_owned()),
             }
         }
-        Bench { filter, quick }
+        Bench {
+            filter,
+            quick: quick_mode(),
+        }
     }
 
     /// Opens a named benchmark group.

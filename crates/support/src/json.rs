@@ -21,14 +21,18 @@ use std::fmt;
 
 /// A parsed or constructed JSON document.
 ///
-/// Numbers are stored as `f64`, like `serde_json`'s arbitrary-precision-off
-/// default; integers survive exactly up to 2^53, far beyond anything the
-/// experiment reports contain.
+/// Integers are kept exact in [`Json::Int`], so a `u64` seed or counter
+/// above 2^53 reads back unchanged; every other number is an `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
+    /// A number with a fraction or exponent, or an integer literal beyond
+    /// `i128`.
     Num(f64),
+    /// An integer: the integer types' image, and every integer literal that
+    /// fits.
+    Int(i128),
     Str(String),
     Arr(Vec<Json>),
     Obj(Map),
@@ -150,9 +154,11 @@ impl Json {
         }
     }
 
+    /// Any number, integers rounded to the nearest `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(i) => Some(*i as f64),
             _ => None,
         }
     }
@@ -224,13 +230,10 @@ impl fmt::Display for Json {
 /// Scalar comparisons (`value["key"] == "name"`, `value == true`), on both
 /// `Json` and `&Json` so indexed lookups compare directly.
 macro_rules! impl_scalar_eq {
-    ($ty:ty, $pat:pat => $eq:expr) => {
+    ($ty:ty, $eq:expr) => {
         impl PartialEq<$ty> for Json {
             fn eq(&self, other: &$ty) -> bool {
-                match self {
-                    $pat => $eq(other),
-                    _ => false,
-                }
+                $eq(self, other)
             }
         }
         impl PartialEq<$ty> for &Json {
@@ -241,17 +244,17 @@ macro_rules! impl_scalar_eq {
     };
 }
 
-impl_scalar_eq!(bool, Json::Bool(b) => |o: &bool| b == o);
-impl_scalar_eq!(f64, Json::Num(n) => |o: &f64| n == o);
-impl_scalar_eq!(i64, Json::Num(n) => |o: &i64| *n == *o as f64);
-impl_scalar_eq!(&str, Json::Str(s) => |o: &&str| s == o);
-impl_scalar_eq!(String, Json::Str(s) => |o: &String| s == o);
+impl_scalar_eq!(bool, |v: &Json, o: &bool| v.as_bool() == Some(*o));
+impl_scalar_eq!(f64, |v: &Json, o: &f64| v.as_f64() == Some(*o));
+impl_scalar_eq!(i64, |v: &Json, o: &i64| i64::from_json(v) == Ok(*o));
+impl_scalar_eq!(&str, |v: &Json, o: &&str| v.as_str() == Some(*o));
+impl_scalar_eq!(String, |v: &Json, o: &String| v.as_str() == Some(o));
 
 fn kind(v: &Json) -> &'static str {
     match v {
         Json::Null => "null",
         Json::Bool(_) => "bool",
-        Json::Num(_) => "number",
+        Json::Num(_) | Json::Int(_) => "number",
         Json::Str(_) => "string",
         Json::Arr(_) => "array",
         Json::Obj(_) => "object",
@@ -267,6 +270,10 @@ fn write_value(v: &Json, indent: Option<usize>, depth: usize, out: &mut String) 
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Num(n) => write_number(*n, out),
+        Json::Int(i) => {
+            use fmt::Write;
+            let _ = write!(out, "{i}");
+        }
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => {
             if items.is_empty() {
@@ -554,6 +561,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // An integer literal stays exact; one beyond i128 falls back to f64,
+        // as a float written without a fraction (1e300 prints 301 digits)
+        // must read back.
+        if let Ok(i) = text.parse::<i128>() {
+            return Ok(Json::Int(i));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -662,24 +675,22 @@ macro_rules! int_json_impls {
     ($($ty:ty),+) => {$(
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+                Json::Int(*self as i128)
             }
         }
         impl FromJson for $ty {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let n = v
-                    .as_f64()
-                    .ok_or_else(|| JsonError(format!("expected number, got {}", kind(v))))?;
-                if n.fract() != 0.0 {
-                    return Err(JsonError(format!("expected integer, got {n}")));
-                }
-                if n < <$ty>::MIN as f64 || n > <$ty>::MAX as f64 {
-                    return Err(JsonError(format!(
-                        "integer {n} out of range for {}",
-                        stringify!($ty)
-                    )));
-                }
-                Ok(n as $ty)
+                let n = match *v {
+                    Json::Int(i) => i,
+                    // `3.0` and `3e0` name an integer too; a float beyond
+                    // i128 saturates and fails the range check below.
+                    Json::Num(n) if n.fract() == 0.0 => n as i128,
+                    Json::Num(n) => return Err(JsonError(format!("expected integer, got {n}"))),
+                    _ => return Err(JsonError(format!("expected number, got {}", kind(v)))),
+                };
+                <$ty>::try_from(n).map_err(|_| {
+                    JsonError(format!("integer {v} out of range for {}", stringify!($ty)))
+                })
             }
         }
     )+};
@@ -928,6 +939,72 @@ mod tests {
         assert_eq!(Json::Num(3.5).dump(), "3.5");
         assert_eq!(Json::Num(-0.0).dump(), "0");
         assert_eq!(json!(7usize).dump(), "7");
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_over_their_whole_range() {
+        fn round_trip<T: ToJson + FromJson + PartialEq + fmt::Debug>(v: T, text: &str) {
+            assert_eq!(to_string(&v), text);
+            assert_eq!(from_str::<T>(text).unwrap(), v);
+        }
+        round_trip(u64::MAX - 1, "18446744073709551614");
+        round_trip((1u64 << 53) + 1, "9007199254740993");
+        round_trip(i64::MIN, "-9223372036854775808");
+        round_trip(i64::MAX, "9223372036854775807");
+        round_trip(usize::MAX, &usize::MAX.to_string());
+        // Integral floats still decode, and every number answers as_f64.
+        assert_eq!(from_str::<u32>("3.0"), Ok(3));
+        assert_eq!(from_str::<u64>("1e3"), Ok(1000));
+        assert_eq!(
+            Json::parse("9007199254740993").unwrap().as_f64(),
+            Some(9007199254740992.0)
+        );
+        assert!(Json::parse("7").unwrap() == 7.0);
+        assert!(Json::parse("-7").unwrap() == -7i64);
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors() {
+        for (text, ok) in [
+            ("18446744073709551615", true),
+            ("18446744073709551616", false),
+            ("-1", false),
+            ("1e20", false),
+            ("1e400", false),
+            ("100000000000000000000000000000000000000000", false),
+        ] {
+            assert_eq!(from_str::<u64>(text).is_ok(), ok, "u64 from {text}");
+        }
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+        assert!(from_str::<u8>("256").is_err());
+        assert!(from_str::<i8>("-129").is_err());
+        assert!(from_str::<u32>("2.5").is_err());
+        let err = from_str::<u64>("1e20").unwrap_err();
+        assert_eq!(err.0, "integer 100000000000000000000 out of range for u64");
+    }
+
+    #[test]
+    fn number_output_is_unchanged_for_floats_and_integers_up_to_2_53() {
+        // The f64 writer's cases, now reached by integers through Int.
+        for (v, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (9.0e15 - 1.0, "8999999999999999"),
+            (9.0e15, "9000000000000000"),
+            (9007199254740992.0, "9007199254740992"),
+            (1e20, "100000000000000000000"),
+            (0.1, "0.1"),
+            (-2.5e-8, "-0.000000025"),
+        ] {
+            assert_eq!(Json::Num(v).dump(), text);
+            assert_eq!(Json::parse(text).unwrap().as_f64(), Some(v));
+            if v.fract() == 0.0 && v.abs() <= 9007199254740992.0 {
+                assert_eq!(json!(v as i64).dump(), text);
+            }
+        }
+        // A float written without a fraction reads back as the same float.
+        let big = 1e300;
+        assert_eq!(from_str::<f64>(&Json::Num(big).dump()), Ok(big));
     }
 
     #[test]

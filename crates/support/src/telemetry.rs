@@ -1207,6 +1207,17 @@ mod tests {
     }
 
     #[test]
+    fn counters_above_2_53_round_trip_exactly() {
+        let counter = Counter {
+            name: "bytes".into(),
+            value: (1 << 53) + 1,
+        };
+        let text = crate::json::to_string(&counter);
+        assert_eq!(text, r#"{"name":"bytes","value":9007199254740993}"#);
+        assert_eq!(crate::json::from_str::<Counter>(&text), Ok(counter));
+    }
+
+    #[test]
     fn request_lane_tags_spans_and_filters() {
         let t = Telemetry::new();
         t.set_enabled(true);

@@ -175,7 +175,7 @@ fn retype(g: &mut Gen, doc: &Json, non_finite: bool) -> String {
     let mut all = Vec::new();
     paths(doc, &mut Vec::new(), &mut all);
     if non_finite {
-        all.retain(|p| matches!(get(doc, p), Json::Num(_)));
+        all.retain(|p| matches!(get(doc, p), Json::Num(_) | Json::Int(_)));
     }
     if all.is_empty() {
         return doc.dump();
@@ -184,7 +184,7 @@ fn retype(g: &mut Gen, doc: &Json, non_finite: bool) -> String {
     let new = if non_finite {
         Json::Str(TOKEN.into())
     } else {
-        match g.gen_range(0..9u32) {
+        match g.gen_range(0..10u32) {
             0 => Json::Null,
             1 => Json::Bool(true),
             2 => Json::Str("7".into()),
@@ -193,6 +193,7 @@ fn retype(g: &mut Gen, doc: &Json, non_finite: bool) -> String {
             5 => Json::Num(-1.0),
             6 => Json::Num(0.5),
             7 => Json::Num(u64::MAX as f64),
+            8 => Json::Int(i128::from(u64::MAX) + 1),
             _ => Json::Num(1e300),
         }
     };

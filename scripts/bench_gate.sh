@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Performance gate: runs the kernels, ANN, memory and serve benchmarks at
 # full size into one temporary directory, then the `bench_gate` binary,
-# which compares those artifacts with the committed BENCH_*.json baselines
-# and fails on regression. The rules and thresholds are constants in
-# crates/bench/src/gate.rs.
+# which compares those perf ledgers with the committed BENCH_*.json
+# baselines and fails on regression. Each file is one ledger: a header
+# (schema, suite, note, host, quick) and one (case, n, d, metric, value)
+# record per line; the type is crates/bench/src/artifact.rs. The rules and
+# thresholds are constants in crates/bench/src/gate.rs.
 #
 # This is deliberately a separate script from verify.sh: the full bench
 # takes minutes and wall-clock throughput is only meaningful on a quiet

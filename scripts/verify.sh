@@ -491,15 +491,16 @@ for MODE in default degenerate; do
     echo "verify: memory smoke passed ($MODE)"
 done
 
-# Artifact-bench smokes: each perf-artifact benchmark runs at its smallest
-# size into $SMOKE, must print its artifact self-check marker, and must
-# record its key field. Numbers are informational here, not asserted — CI
-# machines are too noisy for a hard perf gate; the committed BENCH_*.json
-# in the repo root are the canonical artifacts, and scripts/bench_gate.sh
-# gates them at full size, where the numbers mean something.
+# Ledger-bench smokes: each perf-ledger benchmark runs at its smallest
+# size into $SMOKE, must print its self-check marker, and must record its
+# key case or metric (one compact record per line of the ledger). Numbers
+# are informational here, not asserted — CI machines are too noisy for a
+# hard perf gate; the committed BENCH_*.json in the repo root are the
+# canonical ledgers, and scripts/bench_gate.sh gates them at full size,
+# where the numbers mean something.
 export ENTMATCHER_BENCH_OUT_DIR="$SMOKE"
-for SMOKE_BENCH in 'kernels "kernel": "blocked"' 'ann "recall_at_10"' \
-    'memory "bytes_per_entity"' 'serve "p99_ms"'; do
+for SMOKE_BENCH in 'kernels "case":"blocked"' 'ann "metric":"recall_at_10"' \
+    'memory "metric":"bytes_per_entity"' 'serve "metric":"p99_ms"'; do
     BENCH=${SMOKE_BENCH%% *}
     KEY=${SMOKE_BENCH#* }
     BENCH_LOG=$(cargo bench --offline -p entmatcher-bench --bench "$BENCH" 2>&1) || {
