@@ -179,17 +179,16 @@ fn shape_note(id: &str) -> Option<&'static str> {
             "**Shape check:** the advanced algorithms beat DInf by large \
              margins while the heavy ones (Hun., Sink.) dominate the time \
              column; RInf-wr/RInf-pb match full RInf's F1 within noise at a \
-             fraction of its time and memory; full RInf's four auxiliary \
-             matrices and SMat's preference lists fail the full-scale memory \
-             budget (the paper's \"No\"/\"/\" verdicts). Two honest \
-             deviations: our in-place Sinkhorn and O(n)-memory Hungarian \
-             (shortest augmenting paths with Jonker–Volgenant's lazy \
-             Dijkstra, without JV's initialization phases, whose augmenting \
-             row reduction alone took 23–42 times as long as the whole solve \
-             on 1575-candidate SRPRS-like pairs) would fit where the paper's \
-             implementations did not, and on these synthetic embeddings the \
-             wr variant loses no measurable F1 (the paper found a small \
-             drop).",
+             fraction of its time. Two honest deviations: our in-place \
+             Sinkhorn, O(n)-memory Hungarian (shortest augmenting paths with \
+             Jonker–Volgenant's lazy Dijkstra, without JV's initialization \
+             phases, whose augmenting row reduction alone took 23–42 times \
+             as long as the whole solve on 1575-candidate SRPRS-like pairs), \
+             one-rank-matrix full RInf and lazy-list SMat fit the \
+             full-scale memory budget where the paper's implementations did \
+             not (its \"No\"/\"/\" verdicts), and on these synthetic \
+             embeddings the wr variant loses no measurable F1 (the paper \
+             found a small drop).",
         ),
         "table7" => Some(
             "**Shape check:** every F1 drops versus Table 4 (greedy methods pay \

@@ -16,7 +16,7 @@
 
 use super::{MatchContext, Matcher, Matching};
 use entmatcher_linalg::parallel::{par_map_rows_grained, Grain};
-use entmatcher_linalg::rank::top_k_desc;
+use entmatcher_linalg::rank::{cmp_desc, top_k_desc};
 use entmatcher_linalg::Matrix;
 use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
 use std::collections::HashSet;
@@ -96,13 +96,10 @@ impl Matcher for RlMatcher {
             }
         }
 
-        // Decision order: most confident first (descending top score) —
-        // the sequence the paper's agent consumes.
-        undecided.sort_by(|&a, &b| {
-            let sa = scores.get(a, actions[a][0]);
-            let sb = scores.get(b, actions[b][0]);
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // Decision order: most confident first (descending top score, NaN
+        // last) — the sequence the paper's agent consumes.
+        undecided
+            .sort_by(|&a, &b| cmp_desc(scores.get(a, actions[a][0]), scores.get(b, actions[b][0])));
 
         // Target adjacency as hash sets for O(1) coherence lookups.
         let target_adj: Option<Vec<HashSet<u32>>> = ctx
@@ -177,8 +174,10 @@ impl Matcher for RlMatcher {
     }
 
     fn aux_bytes(&self, n_s: usize, n_t: usize) -> usize {
-        // Shortlists, two assignment copies, taken counters.
-        n_s * self.shortlist * 8 + n_s * 16 + n_t * 8
+        // Shortlists (a Vec header and `shortlist` slots per source),
+        // three assignment copies and the decision order; taken counters,
+        // the column argmax and one row's selection indices.
+        n_s * (self.shortlist * 8 + 24) + n_s * 40 + n_t * 24
     }
 }
 
@@ -305,6 +304,25 @@ mod tests {
         let a = RlMatcher::default().run(&s, &MatchContext::default());
         let b = RlMatcher::default().run(&s, &MatchContext::default());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn nan_rows_sort_last_in_the_decision_order() {
+        use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let broken = rng.gen_range(0..200usize);
+            let s = Matrix::from_fn(200, 200, |r, _| {
+                if r == broken {
+                    f32::NAN
+                } else {
+                    rng.gen::<f32>()
+                }
+            });
+            let a = RlMatcher::default().run(&s, &MatchContext::default());
+            assert_eq!(a.len(), 200);
+            assert_eq!(a, RlMatcher::default().run(&s, &MatchContext::default()));
+        }
     }
 
     #[test]

@@ -320,6 +320,51 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_survives_a_nan_source_coordinate() {
+        use crate::score::ScoreOptimizer;
+        use crate::similarity::{similarity_matrix, SimilarityMetric};
+        use entmatcher_support::rng::{Rng, SeedableRng, StdRng};
+        // A NaN coordinate makes the source row's cosine scores all NaN.
+        let (n, d, broken) = (200, 16, 57);
+        let missing_edge = [
+            AlgorithmPreset::DInf,
+            AlgorithmPreset::Csls,
+            AlgorithmPreset::RInf,
+            AlgorithmPreset::RInfWr,
+            AlgorithmPreset::RInfPb,
+            AlgorithmPreset::Hungarian,
+        ];
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let target = Matrix::from_fn(n, d, |_, _| rng.gen::<f32>() - 0.5);
+            let mut source = Matrix::from_fn(n, d, |r, c| {
+                target.get(r, c) + (rng.gen::<f32>() - 0.5) * 0.1
+            });
+            source.set(broken, rng.gen_range(0..d), f32::NAN);
+            for preset in AlgorithmPreset::all() {
+                let r = preset
+                    .build()
+                    .execute(&source, &target, &MatchContext::default());
+                if missing_edge.contains(&preset) {
+                    assert_eq!(r.matching.assignment()[broken], None, "{}", preset.name());
+                }
+            }
+            // RInf's other rows score exactly as with the row removed.
+            let scores = similarity_matrix(&source, &target, SimilarityMetric::Cosine);
+            let kept: Vec<usize> = (0..n).filter(|&r| r != broken).collect();
+            let without = RInf::default().apply(scores.select_rows(&kept).unwrap());
+            let with = RInf::default().apply(scores);
+            for (k, &r) in kept.iter().enumerate() {
+                let same = with.row(r).iter().zip(without.row(k));
+                assert!(
+                    same.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "row {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn enums_roundtrip_through_json() {
         for p in AlgorithmPreset::all() {
             let text = entmatcher_support::json::to_string(&p);

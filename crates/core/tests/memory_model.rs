@@ -6,8 +6,8 @@
 //! headers, `Vec` growth slack, and per-call bookkeeping the models
 //! ignore) but directional claims are pinned hard: in-place stages must
 //! measure far below the matrix they operate on, streaming stages must
-//! measure linear in `n` rather than quadratic, and the full-RInf
-//! transposed copies must actually show up on the heap.
+//! measure linear in `n` rather than quadratic, and full RInf's one n²
+//! rank matrix must show up on the heap, with nothing more.
 //!
 //! Every measurement forces `ENTMATCHER_THREADS=1` (set before the global
 //! pool is first touched, so it is built at width 1 and the serial fast
@@ -16,6 +16,8 @@
 
 use entmatcher_core::matching::greedy::Greedy;
 use entmatcher_core::matching::hungarian::Hungarian;
+use entmatcher_core::matching::rl::RlMatcher;
+use entmatcher_core::matching::stable::StableMarriage;
 use entmatcher_core::matching::{MatchContext, Matcher};
 use entmatcher_core::pipeline::MatchPipeline;
 use entmatcher_core::score::csls::Csls;
@@ -131,9 +133,10 @@ fn hungarian_measured_aux_is_linear_for_every_shape() {
     }
 }
 
-/// Full RInf materializes transposed/rank copies (~4 extra cells); the
-/// without-ranking variant allocates only the output cell plus O(n) max
-/// vectors. The counting allocator must see exactly that asymmetry.
+/// Full RInf ranks into one u32 rank matrix and writes its output over
+/// the score matrix it owns; the without-ranking variant rewrites the
+/// matrix in place and allocates only its O(n) max vectors. Both measure
+/// within their models, full RInf under two cells.
 #[test]
 fn rinf_variants_measured_against_their_models() {
     let _lock = locked();
@@ -145,21 +148,73 @@ fn rinf_variants_measured_against_their_models() {
     };
     let full = run(RInf::default());
     let wr = run(RInf::without_ranking());
-    // wr: one output cell + O(n) vectors (model says (n_s+n_t)*4 aux).
-    let wr_model = cell + RInf::without_ranking().aux_bytes(n, n) as u64;
-    assert!(wr >= cell, "RInf-wr must allocate its output: {wr} B");
+    let wr_model = RInf::without_ranking().aux_bytes(n, n) as u64;
     assert!(
-        wr <= 2 * wr_model + SLACK,
+        wr <= wr_model + SLACK,
         "RInf-wr modeled {wr_model} B; measured {wr} B"
     );
-    // Full RInf: output + >= 2 simultaneously-live extra cells on top.
     assert!(
-        full >= 3 * cell,
-        "full RInf's rank copies must be measurable: {full} B vs cell {cell} B"
+        wr < cell / 4,
+        "in-place RInf-wr measured {wr} B against a {cell} B matrix"
+    );
+    // Full RInf: the rank matrix shows, and nothing past the model does.
+    let full_model = RInf::default().aux_bytes(n, n) as u64;
+    assert!(
+        full >= cell,
+        "full RInf's rank matrix must be measurable: {full} B vs cell {cell} B"
     );
     assert!(
-        wr * 2 < full,
-        "RInf-wr ({wr} B) must measure well below full RInf ({full} B)"
+        full <= full_model + SLACK,
+        "full RInf modeled {full_model} B; measured {full} B"
+    );
+    assert!(
+        full < 2 * cell,
+        "full RInf ({full} B) must hold under two cells ({cell} B each)"
+    );
+}
+
+/// Gale–Shapley sorts each source's 64 best targets, and a whole list
+/// only for a source that proposes past them: on random scores the
+/// measured peak is those chunks plus O(n) proposal state, far below the
+/// score matrix.
+#[test]
+fn stable_marriage_measured_against_its_model() {
+    let _lock = locked();
+    let n = 400usize;
+    let cell = (n * n * 4) as u64;
+    let scores = random_embeddings(n, n, 12);
+    let model = StableMarriage.aux_bytes(n, n) as u64;
+    let peak = measured(|| StableMarriage.run(&scores, &MatchContext::default()));
+    assert!(peak > 0, "the preference chunks must be measurable");
+    assert!(
+        peak <= model + SLACK,
+        "SMat modeled {model} B; measured {peak} B"
+    );
+    assert!(
+        peak < cell / 4,
+        "SMat measured {peak} B against a {cell} B score matrix"
+    );
+}
+
+/// RL keeps one three-entry shortlist per source: its measured peak is
+/// O(n), far below the score matrix it reads.
+#[test]
+fn rl_measured_against_its_model() {
+    let _lock = locked();
+    let n = 400usize;
+    let cell = (n * n * 4) as u64;
+    let scores = random_embeddings(n, n, 13);
+    let rl = RlMatcher::default();
+    let model = rl.aux_bytes(n, n) as u64;
+    let peak = measured(|| rl.run(&scores, &MatchContext::default()));
+    assert!(peak > 0, "the shortlists must be measurable");
+    assert!(
+        peak <= model + SLACK,
+        "RL modeled {model} B; measured {peak} B"
+    );
+    assert!(
+        peak < cell / 4,
+        "RL measured {peak} B against a {cell} B score matrix"
     );
 }
 

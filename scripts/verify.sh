@@ -92,6 +92,17 @@ for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
     echo "verify: Sinkhorn test group (${MODE_ENV:-defaults})"
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib score::sinkhorn
     test_group env $MODE_ENV cargo test -q --offline --test properties
+
+    # Ranking group: the radix rank kernel must equal a comparison argsort
+    # on the total comparator on both sides of its cutoff; full RInf's
+    # two-buffer phases, split into tasks by the pool, must equal the
+    # four-matrix oracle bit for bit; Gale–Shapley's flat lists must
+    # propose as the nested lists did; and no NaN may panic a sort.
+    echo "verify: ranking test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib rank
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib score::rinf
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib matching::stable
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib matching::rl
 done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
