@@ -199,13 +199,14 @@ impl RlMatcher {
         // Exclusiveness: discourage (but do not forbid) reusing a target.
         q -= self.exclusiveness_penalty * taken[v] as f32;
         // Coherence: count u's already-decided source neighbours whose
-        // targets are adjacent to v.
+        // targets are adjacent to v. A target past the adjacency (a dummy
+        // column of a padded matrix) has no neighbours.
         if let (Some(src_adj), Some(tgt_adj)) = (ctx.source_adj.as_ref(), target_adj) {
             if let Some(neighbors) = src_adj.get(u) {
                 let mut agree = 0u32;
                 for &nu in neighbors {
                     if let Some(Some(nv)) = assignment.get(nu as usize) {
-                        if tgt_adj[v].contains(nv) {
+                        if tgt_adj.get(v).is_some_and(|adj| adj.contains(nv)) {
                             agree += 1;
                         }
                     }
@@ -323,6 +324,24 @@ mod tests {
             assert_eq!(a.len(), 200);
             assert_eq!(a, RlMatcher::default().run(&s, &MatchContext::default()));
         }
+    }
+
+    #[test]
+    fn dummy_padded_columns_are_isolated_targets() {
+        use crate::spec::AlgorithmPreset;
+        // Four sources, two targets: padding adds two dummy columns past
+        // the target adjacency, and RL's coherence reward must read them
+        // as targets without neighbours.
+        let source = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) % 5) as f32 - 2.0);
+        let target = source.select_rows(&[1, 3]).unwrap();
+        let ctx = MatchContext {
+            source_adj: Some(vec![vec![1, 2], vec![0, 3], vec![0], vec![1]]),
+            target_adj: Some(vec![vec![1], vec![0]]),
+        };
+        let padded = AlgorithmPreset::Rl.build().with_dummies(0.75);
+        let m = padded.execute(&source, &target, &ctx).matching;
+        assert_eq!(m.len(), 4);
+        assert!(m.assignment().iter().flatten().all(|&j| j < 2));
     }
 
     #[test]

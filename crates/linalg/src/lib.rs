@@ -19,7 +19,9 @@
 //! an AVX2 path that vectorizes across the packed output columns while
 //! keeping the depth reduction sequential — still bit-identical to the
 //! scalar reference — with an opt-in FMA variant behind
-//! `ENTMATCHER_SIMD=fma`.
+//! `ENTMATCHER_SIMD=fma`. The Hungarian solver's row scan is one such
+//! dispatched kernel too ([`relax`]): a relaxation bit per column, the
+//! same bits from the scalar and the AVX2 path.
 //!
 //! Parallelism runs on the process-wide persistent work-stealing pool
 //! (`entmatcher_support::pool`) via the row-parallel helpers in
@@ -35,6 +37,7 @@ pub mod ops;
 pub mod parallel;
 pub mod quant;
 pub mod rank;
+pub mod relax;
 pub mod simd;
 pub mod snapshot;
 pub mod stats;

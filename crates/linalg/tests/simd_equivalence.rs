@@ -13,11 +13,16 @@
 //! only required to agree to a relative tolerance (it rounds once per
 //! multiply-add).
 //!
+//! The Hungarian solver's relaxation mask (`linalg::relax`) carries the
+//! same contract: its AVX2 bits equal the scalar expression's on every
+//! input, special values and the 4-column and 64-column tails included.
+//!
 //! On machines without AVX2 (or non-x86_64 targets) every level resolves
 //! to the scalar kernel and the equality assertions hold trivially.
 
 use entmatcher_linalg::gemm::{matmul_blocked_with, NR, ROW_STRIPS};
 use entmatcher_linalg::ops::matmul_naive;
+use entmatcher_linalg::relax::relax_mask_with;
 use entmatcher_linalg::simd::{MR_SIMD, ROW_STRIPS_I8, ROW_STRIPS_SIMD};
 use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision, SimdLevel};
 
@@ -151,6 +156,74 @@ fn fma_matches_scalar_within_tolerance() {
                     (s - f).abs() <= tol,
                     "fma too far from scalar at ({i},{j}) m={m} n={n} d={d}: {s} vs {f}"
                 );
+            }
+        }
+    }
+}
+
+/// Scores that stress the relaxation mask: NaN, ±∞, ±0, subnormals and
+/// plain values.
+const MASK_SCORES: [f32; 10] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    1e-40,
+    -1e-42,
+    0.25,
+    -0.75,
+    1.0,
+];
+
+/// Prices, offsets and bounds for the mask, in f64: the same kinds.
+const MASK_F64S: [f64; 10] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324,
+    -1e-310,
+    0.5,
+    -0.25,
+    -1.75,
+];
+
+#[test]
+fn relax_mask_avx2_is_bitwise_equal_to_scalar_on_special_values() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |len: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % len as u64) as usize
+    };
+    for n in 0..=200 {
+        for round in 0..4 {
+            let row: Vec<f32> = (0..n).map(|_| MASK_SCORES[next(10)]).collect();
+            let price: Vec<f64> = (0..n).map(|_| MASK_F64S[next(10)]).collect();
+            let h = MASK_F64S[round * 3 % 10];
+            // A third of the bounds sit exactly on the distance, where `<`
+            // is false, and a third one bit away from it.
+            let bound: Vec<f64> = (0..n)
+                .map(|j| {
+                    let d = -(row[j] as f64) - price[j] - h;
+                    match next(3) {
+                        0 => d,
+                        1 => f64::from_bits(d.to_bits() ^ 1),
+                        _ => MASK_F64S[next(10)],
+                    }
+                })
+                .collect();
+            let mut scalar = vec![0u64; n.div_ceil(64)];
+            let mut avx2 = vec![!0u64; n.div_ceil(64)];
+            relax_mask_with(SimdLevel::Scalar, &row, &price, h, &bound, &mut scalar);
+            relax_mask_with(SimdLevel::Avx2, &row, &price, h, &bound, &mut avx2);
+            assert_eq!(avx2, scalar, "n={n} round={round}");
+            for j in 0..n {
+                let want = -(row[j] as f64) - price[j] - h < bound[j];
+                assert_eq!(scalar[j / 64] >> (j % 64) & 1 == 1, want, "n={n} j={j}");
             }
         }
     }

@@ -103,6 +103,14 @@ for MODE_ENV in "" "ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"; do
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib score::rinf
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib matching::stable
     test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib matching::rl
+
+    # Hungarian group: the row scan's relaxation mask must be the same bits
+    # from the scalar reference and the AVX2 kernel, and the solver, which
+    # runs whichever the config selects, must return the slot-order scan's
+    # assignments exactly, ties included.
+    echo "verify: Hungarian test group (${MODE_ENV:-defaults})"
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-linalg --lib relax
+    test_group env $MODE_ENV cargo test -q --offline -p entmatcher-core --lib matching::hungarian
 done
 
 # Telemetry smoke test: run a small end-to-end match with --trace and
