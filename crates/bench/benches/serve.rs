@@ -4,8 +4,8 @@
 //!
 //! The full-size configuration loads a 20k x 64 clustered pair, starts
 //! the service exactly as `entmatcher serve` does (normalized rows, warm
-//! packed operand, batching queue, real `MetricsServer` listener with the
-//! `/match/topk` route), and drives it with 8 client threads issuing
+//! packed operand, batching queue, real `support::http` listener with the
+//! service's `/match/topk` route), and drives it with 8 client threads issuing
 //! sequential `POST /match/topk` requests — each request is a full
 //! request / parse round trip, so the measured numbers include the
 //! listener and HTTP glue, not just the GEMM. The query cache is disabled
@@ -36,11 +36,9 @@ use entmatcher_bench::gate::SERVE_MODES;
 use entmatcher_core::{MatchService, ServeConfig, TargetIndex};
 use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
 use entmatcher_linalg::normalize_rows_l2;
+use entmatcher_support::http::{Server, ServerConfig};
 use entmatcher_support::json::Json;
 use entmatcher_support::telemetry;
-use entmatcher_support::telemetry::expose::{
-    MetricsServer, Request, Response, Routes, ServerConfig,
-};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -326,21 +324,11 @@ fn main() {
     };
     let service =
         Arc::new(MatchService::start(source, TargetIndex::Matrix(target), cfg).expect("service"));
-    let routes = Routes {
-        paths: vec!["/match/topk".into()],
-        handler: {
-            let service = Arc::clone(&service);
-            Arc::new(move |req: &Request| -> Option<Response> {
-                (req.method == "POST" && req.path == "/match/topk")
-                    .then(|| service.handle_topk(&req.body))
-            })
-        },
-    };
-    let server = MetricsServer::start_with_config(
+    let server = Server::bind(
         telemetry::global(),
         "127.0.0.1:0",
         ServerConfig::default(),
-        Some(routes),
+        service.routes(),
     )
     .expect("bind serve listener");
     let addr = server.addr().to_string();

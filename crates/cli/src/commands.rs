@@ -477,14 +477,15 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
 ///
 /// Loads an embedding snapshot into a warm [`MatchService`] (packed at
 /// `--precision`, optionally behind an IVF index with `--candidates ivf`)
-/// and serves `POST /match/topk` on the exposition listener next to the
-/// built-in `GET /metrics` and `GET /healthz`, so one scrape target covers
+/// and serves its `POST /match/topk` route on the `support::http`
+/// transport next to the exposition's `GET /metrics` and `GET /healthz`
+/// and this command's `POST /shutdown`, so one scrape target covers
 /// queries and their SLO metrics. Concurrent requests coalesce in the
 /// service's batching queue into single fused-GEMM passes; a bounded LRU
 /// cache (`--cache`) short-circuits repeats.
 ///
-/// Connections are persistent (HTTP keep-alive) and served by the expose
-/// listener's worker pool; `--max-conns` caps open connections at the
+/// Connections are persistent (HTTP keep-alive) and served by the
+/// transport's worker pool; `--max-conns` caps open connections at the
 /// listener (503 fast-fail beyond it) and `--max-inflight` caps
 /// concurrently-admitted requests in the service (429 + `Retry-After`).
 ///
@@ -492,7 +493,7 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
 /// - with `--trace FILE`, every request records a `serve.request` span
 ///   tree tagged with its `req_id` (exported by the surrounding
 ///   [`run_command`] after `POST /shutdown` ends the command);
-/// - every handled endpoint observes a
+/// - the transport times every answered request into a
 ///   `request_seconds{endpoint="..."}` histogram, rendered on `/metrics`
 ///   as the `entmatcher_request_seconds` family next to the service's
 ///   `serve.*` gauges and counters;
@@ -506,11 +507,9 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
 /// [`MatchService`]: entmatcher_core::MatchService
 fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     use entmatcher_core::{MatchService, ServeConfig, TargetIndex};
-    use entmatcher_support::telemetry::expose::{
-        MetricsServer, Request, Response, Routes, ServerConfig,
-    };
+    use entmatcher_support::http::{Response, Routes, Server, ServerConfig};
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let emb_dir = Path::new(args.require("embeddings")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_owned();
@@ -554,44 +553,20 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let service = Arc::new(service);
 
     let shutdown = Arc::new((Mutex::new(false), Condvar::new()));
-    let handler = {
-        let service = Arc::clone(&service);
+    let stop_route = {
         let shutdown = Arc::clone(&shutdown);
-        move |req: &Request| -> Option<Response> {
-            let started = Instant::now();
-            let resp = match (req.method.as_str(), req.path.as_str()) {
-                ("POST", "/match/topk") => Some(service.handle_topk(&req.body)),
-                ("POST", "/shutdown") => {
-                    let (flag, cv) = &*shutdown;
-                    *flag.lock().expect("shutdown lock poisoned") = true;
-                    cv.notify_all();
-                    Some(Response::text("200 OK", "shutting down\n"))
-                }
-                // Intercept the built-in health check so it is timed like
-                // every other endpoint; the body matches the built-in's.
-                ("GET", "/healthz") => Some(Response::text("200 OK", "ok\n")),
-                _ => None,
-            };
-            if resp.is_some() {
-                telemetry::observe(
-                    &telemetry::labeled("request_seconds", "endpoint", &req.path),
-                    started.elapsed().as_secs_f64(),
-                );
-            }
-            resp
-        }
+        Routes::route("POST", "/shutdown", move |_| {
+            let (flag, cv) = &*shutdown;
+            *flag.lock().expect("shutdown lock poisoned") = true;
+            cv.notify_all();
+            Response::text("200 OK", "shutting down\n")
+        })
     };
-    let routes = Routes {
-        paths: vec!["/match/topk".into(), "/shutdown".into()],
-        handler: Arc::new(handler),
-    };
-    let server = MetricsServer::start_with_config(
-        telemetry::global(),
-        &addr,
-        server_cfg,
-        Some(routes),
-    )
-    .map_err(|e| CliError::Failed(format!("serve --addr {addr}: {e}")))?;
+    let routes = telemetry::expose::routes(telemetry::global())
+        .with(service.routes())
+        .with(stop_route);
+    let server = Server::bind(telemetry::global(), &addr, server_cfg, routes)
+        .map_err(|e| CliError::Failed(format!("serve --addr {addr}: {e}")))?;
     let bound = server.addr();
     eprintln!(
         "serve: listening http://{bound} ({n_source} source x {n_targets} target rows, dim {dim}, \

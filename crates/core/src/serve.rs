@@ -4,9 +4,10 @@
 //! This is the ROADMAP's "online matching service" item: the offline
 //! pipeline's packed GEMM operand ([`PackedAny`], honoring `--precision`)
 //! or IVF index (`--candidates ivf`) is loaded once and kept warm, and
-//! concurrent top-k queries are answered over HTTP (the CLI's `entmatcher
-//! serve` wires [`MatchService::handle_topk`] into the
-//! `telemetry::expose` listener next to `/metrics` and `/healthz`).
+//! concurrent top-k queries are answered over HTTP: [`MatchService::routes`]
+//! is the service's one route, `POST /match/topk`, which `entmatcher serve`
+//! puts in the `support::http` transport's table next to `/metrics` and
+//! `/healthz`.
 //!
 //! # Request coalescing
 //!
@@ -54,8 +55,8 @@
 //! - gauges `serve.queue_depth`, `serve.inflight`,
 //!   `serve.cache_hit_ratio`;
 //! - histograms `serve.batch_size` and the per-endpoint
-//!   `request_seconds{endpoint="..."}` families observed by the CLI's
-//!   HTTP glue.
+//!   `request_seconds{endpoint="..."}` families, which the transport
+//!   observes for every request a route answers.
 //!
 //! Requests slower than `ENTMATCHER_SLOW_MS` emit their measured span
 //! subtree as one JSON line on stderr ([`slow_query_line`]), whether or
@@ -68,6 +69,7 @@ use crate::ann::{IvfIndex, IvfParams};
 use crate::error::CoreError;
 use crate::Result;
 use entmatcher_linalg::{fused_topk_packed, Matrix, PackedAny, Precision};
+use entmatcher_support::http::{Response, Routes};
 use entmatcher_support::json::{FromJson, Json, Map};
 use entmatcher_support::telemetry::{self, Telemetry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -811,17 +813,23 @@ fn slow_query_line(out: &TopKResult, k: usize, cache_ns: u64, reply: Option<&Bat
 }
 
 // ---------------------------------------------------------------------------
-// HTTP glue (JSON in/out for the expose listener)
+// HTTP glue (JSON in/out for the `support::http` transport)
 // ---------------------------------------------------------------------------
 
 impl MatchService {
+    /// The service's one route, `POST /match/topk`, answered by
+    /// [`MatchService::handle_topk`].
+    pub fn routes(self: &Arc<Self>) -> Routes {
+        let service = Arc::clone(self);
+        Routes::route("POST", "/match/topk", move |req| service.handle_topk(&req.body))
+    }
+
     /// Parses a `POST /match/topk` JSON body and answers it. Body shape:
     /// `{"ids": [0, 1], "k": 5}` or `{"queries": [[...], [...]], "k": 5}`,
     /// where ids are non-negative integers and `k` is a positive integer
-    /// (10 when absent). Returns the HTTP response for the expose listener;
+    /// (10 when absent). Returns the HTTP response for the transport;
     /// malformed bodies get a 400 with a diagnostic.
-    pub fn handle_topk(&self, body: &[u8]) -> entmatcher_support::telemetry::expose::Response {
-        use entmatcher_support::telemetry::expose::Response;
+    pub fn handle_topk(&self, body: &[u8]) -> Response {
         let text = match std::str::from_utf8(body) {
             Ok(t) => t,
             Err(_) => return Response::bad_request("body is not utf-8"),

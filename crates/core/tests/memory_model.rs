@@ -100,7 +100,7 @@ fn sinkhorn_measured_aux_is_in_place() {
     let peak = measured(|| opt.apply(scores));
     assert!(peak > 0, "the column-sum vector must be visible");
     assert!(
-        peak <= 8 * model + 128 << 10,
+        peak <= 8 * model + (128 << 10),
         "Sinkhorn modeled {model} B aux; measured {peak} B"
     );
     assert!(

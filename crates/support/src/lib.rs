@@ -1,8 +1,8 @@
 //! Zero-dependency support library for the `entmatcher` workspace.
 //!
 //! Every crate in this workspace builds with **no network access** and no
-//! external crates. This crate supplies the four pieces of infrastructure
-//! that would otherwise come from crates.io:
+//! external crates. This crate supplies the infrastructure that would
+//! otherwise come from crates.io:
 //!
 //! - [`rng`] — a seeded, deterministic xoshiro256\*\*-style PRNG with a
 //!   `rand`-shaped API (`StdRng`, `Rng`, `SeedableRng`, `SliceRandom`).
@@ -29,12 +29,17 @@
 //!   ([`telemetry::expose`]), Chrome/Perfetto trace export
 //!   ([`telemetry::chrome`]), and folded time and allocation profiles
 //!   computed from a recorded trace ([`telemetry::profile`]).
+//! - [`http`] — the std-only HTTP/1.1 transport (keep-alive connection
+//!   workers, admission control, draining shutdown) that answers every
+//!   request from one route table; `/metrics`, `/healthz` and the
+//!   matching service's routes are entries in it.
 //!
 //! The API shapes deliberately mirror the external crates they replace so
 //! that call sites migrate by swapping `use` lines, not rewriting bodies.
 
 pub mod alloc;
 pub mod bench;
+pub mod http;
 pub mod json;
 pub mod pool;
 pub mod prop;

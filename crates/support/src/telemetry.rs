@@ -32,9 +32,9 @@
 //! Beyond the post-mortem JSON trace, three runtime-facing surfaces build
 //! on the registry (all std-only, all fully off by default):
 //!
-//! - [`expose`] — a tiny HTTP server publishing the live registry as
-//!   Prometheus text exposition (`/metrics`, plus `/healthz`), so long
-//!   runs can be scraped mid-flight.
+//! - [`expose`] — the live registry rendered as Prometheus text
+//!   exposition, published as the `/metrics` and `/healthz` routes of the
+//!   [`crate::http`] transport, so long runs can be scraped mid-flight.
 //! - [`chrome`] — Chrome `trace_event` / Perfetto export of a completed
 //!   [`Trace`]: every span becomes a complete event (`"ph":"X"`) on its
 //!   recording thread's lane, so traces open directly in

@@ -285,10 +285,7 @@ fn metrics_server_binds_serves_and_shuts_down() {
     let t = leaked_registry();
     t.set_enabled(true);
     t.add("lifecycle.test", 9);
-    let cfg = ServerConfig {
-        interval: Duration::from_millis(20),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let server = MetricsServer::start_with_config(t, "127.0.0.1:0", cfg, None)
         .expect("bind ephemeral port");
     let addr = server.addr();
@@ -359,10 +356,7 @@ fn server_hardening_against_real_clients() {
             }
         }),
     };
-    let cfg = ServerConfig {
-        interval: Duration::from_millis(20),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig::default();
     let server = MetricsServer::start_with_config(t, "127.0.0.1:0", cfg, Some(routes))
         .expect("bind ephemeral port");
     let addr = server.addr();

@@ -20,18 +20,10 @@ fn leaked_registry() -> &'static Telemetry {
     Box::leak(Box::new(Telemetry::new()))
 }
 
-/// Starts a server with a short `/metrics` render interval and the given
-/// connection-model overrides.
+/// Starts a server with the given connection-model overrides.
 fn start(t: &'static Telemetry, cfg: ServerConfig, routes: Option<Routes>) -> MetricsServer {
     t.set_enabled(true);
     MetricsServer::start_with_config(t, "127.0.0.1:0", cfg, routes).expect("bind ephemeral port")
-}
-
-fn short_interval() -> ServerConfig {
-    ServerConfig {
-        interval: Duration::from_millis(5),
-        ..ServerConfig::default()
-    }
 }
 
 /// Writes one request on an already-open stream. `close` appends
@@ -96,7 +88,7 @@ fn reads_eof(stream: &mut TcpStream, wait: Duration) -> bool {
 #[test]
 fn many_sequential_requests_reuse_one_connection() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
 
     for i in 0..8 {
@@ -124,7 +116,7 @@ fn many_sequential_requests_reuse_one_connection() {
 #[test]
 fn interleaved_requests_across_sockets_stay_isolated() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
     let mut a = TcpStream::connect(server.addr()).expect("connect a");
     let mut b = TcpStream::connect(server.addr()).expect("connect b");
 
@@ -148,7 +140,7 @@ fn interleaved_requests_across_sockets_stay_isolated() {
 #[test]
 fn open_connections_gauge_tracks_sockets() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
     let mut a = TcpStream::connect(server.addr()).expect("connect a");
     let mut b = TcpStream::connect(server.addr()).expect("connect b");
     send_get(&mut a, "/healthz", false);
@@ -163,8 +155,8 @@ fn open_connections_gauge_tracks_sockets() {
         "{body}"
     );
     drop(b);
-    // Eventually the server notices b's EOF and the gauge drops to 1 (the
-    // /metrics page re-renders every 5 ms here).
+    // Eventually the server notices b's EOF and the gauge drops to 1
+    // (every scrape renders the registry afresh).
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         std::thread::sleep(Duration::from_millis(10));
@@ -181,7 +173,7 @@ fn open_connections_gauge_tracks_sockets() {
 #[test]
 fn malformed_second_request_closes_only_that_connection() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
     let mut bad = TcpStream::connect(server.addr()).expect("connect bad");
     let mut good = TcpStream::connect(server.addr()).expect("connect good");
 
@@ -207,7 +199,7 @@ fn malformed_second_request_closes_only_that_connection() {
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     // Two requests in one write: the leftover bytes after the first parse
     // must be carried over, not dropped.
@@ -228,7 +220,7 @@ fn pipelined_requests_are_answered_in_order() {
 #[test]
 fn http10_closes_unless_keepalive_requested() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
 
     // Plain HTTP/1.0: answered, then closed.
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
@@ -257,7 +249,7 @@ fn http10_closes_unless_keepalive_requested() {
 #[test]
 fn transfer_encoding_and_bad_content_length_are_rejected() {
     let t = leaked_registry();
-    let server = start(t, short_interval(), None);
+    let server = start(t, ServerConfig::default(), None);
 
     // Transfer-Encoding framing is unsupported: 411, connection closes.
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
@@ -287,7 +279,7 @@ fn idle_connections_are_evicted() {
     let t = leaked_registry();
     let cfg = ServerConfig {
         idle_timeout: Duration::from_millis(150),
-        ..short_interval()
+        ..ServerConfig::default()
     };
     let server = start(t, cfg, None);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
@@ -309,7 +301,7 @@ fn connection_cap_rejects_with_503_and_counts() {
     let cfg = ServerConfig {
         max_conns: 1,
         workers: 1,
-        ..short_interval()
+        ..ServerConfig::default()
     };
     let server = start(t, cfg, None);
 
@@ -375,7 +367,7 @@ fn shutdown_drains_inflight_requests() {
             })
         }),
     };
-    let server = start(t, short_interval(), Some(routes));
+    let server = start(t, ServerConfig::default(), Some(routes));
     let addr = server.addr();
 
     let client = std::thread::spawn(move || {
@@ -394,4 +386,37 @@ fn shutdown_drains_inflight_requests() {
         "shutdown forces close after the drain: {head}"
     );
     assert_eq!(body, "slow done\n");
+}
+
+#[test]
+fn handler_panics_answer_500_and_keep_workers_alive() {
+    let t = leaked_registry();
+    let routes = Routes {
+        paths: vec!["/panic".to_owned()],
+        handler: Arc::new(|_| panic!("route handler panics on purpose")),
+    };
+    let cfg = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = start(t, cfg, Some(routes));
+    // Two panics, as many as there are workers: were either worker lost
+    // to its panic, the health check below would go unanswered.
+    for i in 0..2 {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        send_get(&mut stream, "/panic", false);
+        let (head, _) = read_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 500"), "panic {i}: {head}");
+        assert!(head.contains("Connection: close"), "panic {i}: {head}");
+        assert!(reads_eof(&mut stream, Duration::from_secs(2)), "panic {i}");
+    }
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    send_get(&mut stream, "/healthz", false);
+    let (head, body) = read_response(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, "ok\n");
+    server.shutdown();
+    let trace = t.snapshot();
+    assert_eq!(trace.counter("http.panics"), Some(2));
+    assert_eq!(trace.gauge("http.open_connections"), Some(0.0));
 }
