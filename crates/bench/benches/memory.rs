@@ -14,13 +14,12 @@
 //! Stages, at each scale `n` (d = 64):
 //! * `gemm`        — blocked similarity product (dense n x n output);
 //! * `sinkhorn`    — Sinkhorn on an n x n score matrix (scaling form in
-//!                   place: the input clone dominates; aux is u, v, the
-//!                   column sums and one column partial per row block of
-//!                   at most 64, so O(n));
-//! * `rinf_wr`     — RInf-wr on an n x n score matrix (input + output
-//!                   cells, no transposed copies);
+//!   place: the input clone dominates; aux is u, v, the column sums and
+//!   one column partial per row block of at most 64, so O(n));
+//! * `rinf_wr`     — RInf-wr on an n x n score matrix (rewritten in place:
+//!   the input clone is the one cell, plus the row and column maxima);
 //! * `csls_stream` — streaming CSLS over the fused cosine path (O(n)
-//!                   state, the sub-quadratic contrast to the above);
+//!   state, the sub-quadratic contrast to the above);
 //! * `ivf_train` / `ivf_probe` — IVF-flat index build and search;
 //! * `pack_f32` / `pack_f16` / `pack_int8` — packed-operand footprint per
 //!   storage precision (the bytes/entity rows behind the quantization
@@ -123,15 +122,16 @@ fn bench_scale(ledger: &mut Ledger, n: usize) {
         ledger,
         "rinf_wr",
         n,
-        2 * cell + rinf_wr.aux_bytes(n, n) as u64,
+        cell + rinf_wr.aux_bytes(n, n) as u64,
         || {
             black_box(rinf_wr.apply(scores.clone()));
         },
     );
     drop(scores);
 
-    // Streaming CSLS (fused cosine path): normalized copies + O(n) state.
-    let stream_model = streaming_aux_bytes(n, n, 10, 1024, DIM) as u64 + (2 * n * DIM * 4) as u64;
+    // Streaming CSLS (fused cosine path): normalized copies, packed
+    // targets and O(n) state.
+    let stream_model = streaming_aux_bytes(n, n, 10, DIM) as u64;
     stage(ledger, "csls_stream", n, stream_model, || {
         black_box(streaming_csls(&a, &b, SimilarityMetric::Cosine, 10, 1024));
     });

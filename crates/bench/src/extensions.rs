@@ -163,7 +163,7 @@ pub fn ext_stream(cfg: &Config, wb: &mut Workbench) -> Report {
     let start = std::time::Instant::now();
     let sc = streaming_csls(&src, &tgt, SimilarityMetric::Cosine, 10, DEFAULT_BLOCK);
     let sc_t = start.elapsed();
-    let stream_bytes = streaming_aux_bytes(src.rows(), tgt.rows(), 10, DEFAULT_BLOCK, src.cols());
+    let stream_bytes = streaming_aux_bytes(src.rows(), tgt.rows(), 10, src.cols());
     for (name, m, secs, dense) in [
         ("DInf (streaming)", &sg, sg_t, &dense_dinf.matching),
         ("CSLS (streaming)", &sc, sc_t, &dense_csls.matching),

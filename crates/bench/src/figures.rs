@@ -114,7 +114,6 @@ pub fn fig5(cfg: &Config, wb: &mut Workbench) -> Report {
         &["Algo", "R-DBP", "G-DBP", "R-SRP", "N-DBP"],
     );
     let grid = entmatcher_eval::ExperimentGrid {
-        workers: 2,
         pad_dummies: false,
         // Scalability sweeps take minutes; keep the console alive.
         progress: Some(std::time::Duration::from_secs(5)),

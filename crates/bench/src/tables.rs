@@ -129,7 +129,6 @@ fn grid(
     pad_dummies: bool,
 ) -> Vec<Vec<CellResult>> {
     let runner = ExperimentGrid {
-        workers: 2,
         pad_dummies,
         // Table sweeps run many cells; report progress/ETA every 5 s.
         progress: Some(std::time::Duration::from_secs(5)),

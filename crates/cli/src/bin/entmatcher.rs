@@ -1,6 +1,6 @@
 //! The `entmatcher` command-line binary (see the crate docs for usage).
 
-use entmatcher_support::{json, telemetry};
+use entmatcher_support::{env, json, telemetry};
 
 // The counting allocator backs `ENTMATCHER_MEM=1` and `--mem-profile`.
 // When neither is active it forwards straight to the system allocator
@@ -43,13 +43,11 @@ fn main() {
 /// With `ENTMATCHER_ENV_DUMP=1`, prints every recognized `ENTMATCHER_*`
 /// switch and its effective state to stderr at exit — the debugging aid
 /// for "why did this run behave as if X were (not) set". The shared
-/// convention, applied here and by every reader: unset, empty,
-/// whitespace-only, and `0` all mean *disabled*.
+/// convention, applied here and by every reader through
+/// [`env::switch`]: unset, empty, whitespace-only, and `0` all mean
+/// *disabled*.
 fn dump_env_switches() {
-    let dump = std::env::var("ENTMATCHER_ENV_DUMP")
-        .map(|v| !matches!(v.trim(), "" | "0"))
-        .unwrap_or(false);
-    if !dump {
+    if env::switch("ENTMATCHER_ENV_DUMP").is_none() {
         return;
     }
     const SWITCHES: &[(&str, &str)] = &[
@@ -63,10 +61,10 @@ fn dump_env_switches() {
         ("ENTMATCHER_SIMD", "SIMD kernel dispatch (off disables)"),
         ("ENTMATCHER_ENV_DUMP", "this dump"),
     ];
-    eprintln!("env: recognized switches (unset / empty / 0 = disabled):");
+    eprintln!("env: recognized switches (unset / empty / blank / 0 = disabled):");
     for (name, what) in SWITCHES {
         let state = match std::env::var(name) {
-            Ok(v) if matches!(v.trim(), "" | "0") => format!("{v:?} (disabled)"),
+            Ok(v) if env::switch_value(Some(&v)).is_none() => format!("{v:?} (disabled)"),
             Ok(v) => format!("{v:?}"),
             Err(_) => "<unset> (disabled)".to_owned(),
         };

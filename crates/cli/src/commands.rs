@@ -435,7 +435,7 @@ fn cmd_match(args: &ParsedArgs) -> Result<String, CliError> {
     let ctx: MatchContext = task.context(&pair);
     let mut pipeline = algorithm.build().with_precision(precision);
     if args.has_flag("dummies") {
-        pipeline = pipeline.with_dummies(0.9);
+        pipeline = pipeline.with_dummies();
     }
     if let Some(params) = candidates {
         pipeline = pipeline.with_candidates(params, shortlist_k);

@@ -124,13 +124,14 @@ observability:
                      span — flamegraph.pl / speedscope render it directly.
   Alternatively set ENTMATCHER_TRACE=FILE to record the whole process and
   dump the trace at exit, or ENTMATCHER_TRACE=1 to record without dumping.
-  Unset (or 0), telemetry is off and costs one atomic load per site.
+  Unset, empty, blank or 0, telemetry is off and costs one atomic load
+  per site.
   ENTMATCHER_MEM=1 enables measured memory observability: every span in
   a trace gains heap_allocated / heap_live_peak bytes from the counting
   allocator, `match` reports its measured peak next to the modeled one,
   and /metrics exports live heap gauges. Off (the default), the
   allocator counts nothing and writes no counters at all.
   ENTMATCHER_ENV_DUMP=1 prints every recognized ENTMATCHER_* switch and
-  its value to stderr at exit (unset / empty / 0 all mean disabled —
-  the shared convention across all switches).
+  its value to stderr at exit (unset / empty / blank / 0 all mean
+  disabled — the shared convention across all switches).
 ";

@@ -185,6 +185,38 @@ fn trace_format_env_switches_export_to_chrome() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A whitespace-only `ENTMATCHER_TRACE` is off, like unset: the run
+/// writes no trace file into its working directory, and the env dump
+/// agrees that the switch is disabled.
+#[test]
+fn whitespace_only_trace_switch_is_off() {
+    let dir = std::env::temp_dir().join(format!(
+        "entmatcher-recorder-blank-trace-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let output = Command::new(BIN)
+        .arg("help")
+        .current_dir(&dir)
+        .env("ENTMATCHER_TRACE", " ")
+        .env("ENTMATCHER_ENV_DUMP", "1")
+        .output()
+        .expect("spawn entmatcher");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "stderr: {stderr}");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(written.is_empty(), "blank switch wrote {written:?}");
+    assert!(
+        stderr.contains("ENTMATCHER_TRACE=\" \" (disabled)"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Runs one `match` with an extra profile flag writing to `file`, checks
 /// the report line and the folded file's shape, and returns the file's
 /// `(stack, weight)` lines.

@@ -191,8 +191,8 @@ fn partial_sums(data: &Matrix, assignments: &[Option<u32>], nlist: usize) -> (Ve
             let hi = (lo + UPDATE_CHUNK).min(n);
             let mut sums = vec![0.0f32; nlist * d];
             let mut counts = vec![0u32; nlist];
-            for r in lo..hi {
-                let Some(c) = assignments[r] else { continue };
+            for (r, &assigned) in (lo..hi).zip(&assignments[lo..hi]) {
+                let Some(c) = assigned else { continue };
                 let c = c as usize;
                 counts[c] += 1;
                 for (dst, &v) in sums[c * d..(c + 1) * d].iter_mut().zip(data.row(r)) {

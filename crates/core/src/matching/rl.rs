@@ -338,7 +338,7 @@ mod tests {
             source_adj: Some(vec![vec![1, 2], vec![0, 3], vec![0], vec![1]]),
             target_adj: Some(vec![vec![1], vec![0]]),
         };
-        let padded = AlgorithmPreset::Rl.build().with_dummies(0.75);
+        let padded = AlgorithmPreset::Rl.build().with_dummies();
         let m = padded.execute(&source, &target, &ctx).matching;
         assert_eq!(m.len(), 4);
         assert!(m.assignment().iter().flatten().all(|&j| j < 2));

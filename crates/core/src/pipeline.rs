@@ -20,6 +20,14 @@ use entmatcher_linalg::{
 use entmatcher_support::telemetry;
 use std::time::Duration;
 
+/// Score given to dummy cells when padding, as a quantile of the observed
+/// score distribution. For the Hungarian matcher the exact value is
+/// immaterial (the number of dummy assignments is fixed by the imbalance,
+/// so the dummy score is a constant offset of every solution); for
+/// Gale–Shapley it acts as an abstention threshold — a source proposes to
+/// a dummy once all targets scoring above the quantile have rejected it.
+pub const DUMMY_QUANTILE: f64 = 0.9;
+
 /// A composed matching pipeline.
 pub struct MatchPipeline {
     /// Similarity metric deriving `S` from the embeddings.
@@ -38,16 +46,9 @@ pub struct MatchPipeline {
     /// Shortlist length per source under IVF candidates.
     pub shortlist_k: usize,
     /// Whether to square the score matrix with dummy nodes before matching
-    /// (the paper's unmatchable-setting protocol for Hun./SMat, §5.1).
+    /// (the paper's unmatchable-setting protocol for Hun./SMat, §5.1);
+    /// dummy cells score [`DUMMY_QUANTILE`].
     pub pad_dummies: bool,
-    /// Score given to dummy cells when padding, as a quantile of the
-    /// observed score distribution. For the Hungarian matcher the exact
-    /// value is immaterial (the number of dummy assignments is fixed by
-    /// the imbalance, so the dummy score is a constant offset of every
-    /// solution); for Gale–Shapley it acts as an abstention threshold —
-    /// a source proposes to a dummy once all targets scoring above the
-    /// quantile have rejected it.
-    pub dummy_quantile: f64,
     /// Storage precision for the target-side packed operand in the cosine
     /// similarity pass, and for the IVF posting lists (which always take
     /// this precision, as in serving). At `F32` (default) nothing changes.
@@ -141,7 +142,6 @@ impl MatchPipeline {
             candidates: None,
             shortlist_k: 32,
             pad_dummies: false,
-            dummy_quantile: 0.9,
             precision: Precision::F32,
         }
     }
@@ -162,15 +162,10 @@ impl MatchPipeline {
         self
     }
 
-    /// Enables dummy-node padding (see [`crate::dummy`]) with the given
-    /// score quantile for dummy cells.
-    pub fn with_dummies(mut self, dummy_quantile: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&dummy_quantile),
-            "quantile out of range"
-        );
+    /// Enables dummy-node padding (see [`crate::dummy`]); dummy cells
+    /// score the [`DUMMY_QUANTILE`] of the observed scores.
+    pub fn with_dummies(mut self) -> Self {
         self.pad_dummies = true;
-        self.dummy_quantile = dummy_quantile;
         self
     }
 
@@ -259,7 +254,7 @@ impl MatchPipeline {
         let matching = if padding {
             let mut pad_span = telemetry::span("pad");
             pad_span.add_bytes(pad_bytes as u64);
-            let dummy = score_quantile(&scores, self.dummy_quantile);
+            let dummy = score_quantile(&scores, DUMMY_QUANTILE);
             let padded = pad_with_dummies(&scores, dummy);
             drop(pad_span);
             let m = self.matcher.run(&padded.scores, ctx);
@@ -334,7 +329,7 @@ mod tests {
             Box::new(NoOp),
             Box::new(Hungarian),
         )
-        .with_dummies(0.75);
+        .with_dummies();
         let r = p.execute(&s, &t, &MatchContext::default());
         assert_eq!(r.matching.assignment()[0], Some(0));
         assert_eq!(r.matching.assignment()[1], Some(1));
@@ -408,7 +403,7 @@ mod tests {
             asked: std::sync::Mutex::new(Vec::new()),
         };
         let p = MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(probe))
-            .with_dummies(0.75);
+            .with_dummies();
         let r = p.execute(&s, &t, &MatchContext::default());
         // Downcast-free readback: the probe is owned by the pipeline, so
         // re-derive expectations from the report instead. sim matrix 3x2
@@ -684,7 +679,7 @@ mod tests {
             Box::new(NoOp),
             Box::new(Hungarian),
         )
-        .with_dummies(0.75);
+        .with_dummies();
         telemetry::set_enabled(true);
         let r = p.execute(&s, &t, &MatchContext::default());
         let trace = telemetry::snapshot();

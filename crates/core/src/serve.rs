@@ -82,14 +82,11 @@ use std::time::{Duration, Instant};
 /// or `0` disables (the shared `ENTMATCHER_*` convention).
 pub const ENV_SLOW_MS: &str = "ENTMATCHER_SLOW_MS";
 
-/// The `ENTMATCHER_SLOW_MS` setting, normalized per the `0`-disables
-/// convention.
+/// The `ENTMATCHER_SLOW_MS` switch ([`entmatcher_support::env::switch`]);
+/// `None` also when the value is not a positive count of milliseconds.
 pub fn env_slow_ms() -> Option<u64> {
-    let v = std::env::var(ENV_SLOW_MS).ok()?;
-    match v.trim().parse::<u64>() {
-        Ok(0) | Err(_) => None,
-        Ok(ms) => Some(ms),
-    }
+    let ms = entmatcher_support::env::switch(ENV_SLOW_MS)?.parse().ok();
+    ms.filter(|&ms| ms > 0)
 }
 
 /// Tuning knobs for [`MatchService::start`].
@@ -506,10 +503,10 @@ impl MatchService {
 
         // Cache pass.
         let cache_started = Instant::now();
-        let cache_span = root.as_ref().and_then(|_| {
+        let cache_span = root.as_ref().map(|_| {
             let mut s = t.span("serve.cache");
             s.set_req(req_id);
-            Some(s)
+            s
         });
         let n_rows = rows.rows();
         let mut results: Vec<Option<Vec<(u32, f32)>>> = vec![None; n_rows];

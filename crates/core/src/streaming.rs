@@ -13,11 +13,11 @@
 //!   statistics come out of bounded per-entity heaps, then the decision
 //!   pass applies the CSLS correction on the fly.
 //!
-//! For cosine similarity both run one private driver over the **fused
-//! similarity -> reduction kernels** in `entmatcher_linalg::fused`: score
-//! tiles come straight out of the register-tiled GEMM micro-kernel and are
-//! reduced before the next tile is computed, so no strip of the score
-//! matrix is ever materialized. The driver reads its targets from a
+//! Streaming is the cosine plan. Both run one private driver over the
+//! **fused similarity -> reduction kernels** in `entmatcher_linalg::fused`:
+//! score tiles come straight out of the register-tiled GEMM micro-kernel
+//! and are reduced before the next tile is computed, so no strip of the
+//! score matrix is ever materialized. The driver reads its targets from a
 //! [`Targets`] source — resident rows, or a snapshot file read once,
 //! `chunk_rows` at a time — at any storage [`Precision`]
 //! ([`streaming_greedy_at`], [`streaming_csls_at`]), and packs them once:
@@ -25,9 +25,10 @@
 //! never packed. Greedy is one scan (the argmax). CSLS is two: one scan
 //! of the source against the packed targets yields both neighbourhood
 //! statistics (each source row's top-k heap, and per-column top-k state
-//! for the targets), and the second is the corrected argmax. The distance
-//! metrics keep the strip-at-a-time loop (their pairwise kernels are not
-//! products).
+//! for the targets), and the second is the corrected argmax. Distance
+//! metrics have no fused kernel (their pairwise kernels are not
+//! products): they run dense, `Greedy` over [`similarity_matrix`] (and
+//! over `Csls { k }` of it), at O(n_s · n_t) memory.
 //!
 //! Both produce *bit-identical decisions* to their dense counterparts
 //! (asserted by tests): the fused tiles reuse the exact d-sequential
@@ -38,21 +39,24 @@
 //! that row and the packed operand, so a snapshot streamed in any chunk
 //! size decides exactly like the same targets held in memory.
 
-use crate::matching::Matching;
+use crate::matching::greedy::Greedy;
+use crate::matching::{MatchContext, Matcher, Matching};
+use crate::score::csls::Csls;
+use crate::score::ScoreOptimizer;
 use crate::similarity::{similarity_matrix, SimilarityMetric};
 use entmatcher_linalg::fused::{
-    fused_argmax_affine_packed, fused_topk_means_both_packed, TopKAccumulator,
+    fused_argmax_affine_packed, fused_topk_means_both_packed, MAX_TILE_BYTES,
 };
+use entmatcher_linalg::gemm::NR;
 use entmatcher_linalg::parallel::workers;
-use entmatcher_linalg::rank::argmax_step;
 use entmatcher_linalg::snapshot::SnapshotReader;
 use entmatcher_linalg::{normalize_rows_l2, Matrix, PackedAny, PackedBuilder, Precision};
 use entmatcher_support::telemetry;
 use std::path::Path;
 
-/// Default target-block width (rows of the similarity strip computed at
-/// once by the non-cosine paths). Bigger blocks amortize the pass
-/// overhead; memory is `b * n_s`.
+/// The `block` argument of [`streaming_greedy`] and [`streaming_csls`]
+/// that callers pass by default. It affects nothing: the cosine plan
+/// fuses at tile level, and distance metrics run dense.
 pub const DEFAULT_BLOCK: usize = 1024;
 
 /// Where a streamed cosine match reads its target rows from.
@@ -166,17 +170,17 @@ pub fn streaming_csls_at(
     stream_cosine(source, targets, Some(k), precision)
 }
 
-/// Greedy matching without materializing the score matrix. Cosine streams
-/// through the fused argmax kernel (tile-level fusion, `block` is not
-/// needed); distance metrics iterate target blocks updating each source's
-/// best candidate. Memory: O(n_s + block·d).
+/// Greedy (DInf) matching, by cosine without materializing the score
+/// matrix: the fused argmax kernel ([`streaming_greedy_at`] at f32;
+/// memory O(n_s + n_t) plus the packed targets). A distance metric runs
+/// dense: `Greedy` over [`similarity_matrix`]. `block` affects nothing
+/// (see [`DEFAULT_BLOCK`]).
 pub fn streaming_greedy(
     source: &Matrix,
     target: &Matrix,
     metric: SimilarityMetric,
-    block: usize,
+    _block: usize,
 ) -> Matching {
-    assert!(block > 0, "block size must be positive");
     assert_eq!(
         source.cols(),
         target.cols(),
@@ -186,114 +190,57 @@ pub fn streaming_greedy(
         return streaming_greedy_at(source, Targets::Resident(target), Precision::F32)
             .expect("dims checked above");
     }
-    let n_s = source.rows();
-    let n_t = target.rows();
-    let mut best = vec![None; n_s];
-    let mut start = 0usize;
-    while start < n_t {
-        let end = (start + block).min(n_t);
-        let idx: Vec<usize> = (start..end).collect();
-        let strip = target.select_rows(&idx).expect("block in range");
-        let scores = similarity_matrix(source, &strip, metric);
-        for (i, slot) in best.iter_mut().enumerate() {
-            for (local, &v) in scores.row(i).iter().enumerate() {
-                argmax_step(slot, start + local, v);
-            }
-        }
-        start = end;
-    }
-    Matching::new(picks(best))
+    let scores = similarity_matrix(source, target, metric);
+    Greedy.run(&scores, &MatchContext::default())
 }
 
-/// The picked columns of per-row running argmaxes.
-fn picks(best: Vec<Option<(usize, f32)>>) -> Vec<Option<u32>> {
-    best.into_iter().map(|b| b.map(|(j, _)| j as u32)).collect()
-}
-
-/// CSLS + Greedy without materializing the score matrix.
+/// CSLS + Greedy, by cosine without materializing the score matrix.
 ///
 /// Cosine: the streaming driver — both phi vectors stream out of one
 /// two-sided top-k scan against the packed targets, and the corrected
-/// argmax streams out of the affine-argmax kernel. Distance metrics: two
-/// strip-at-a-time passes.
-/// Decisions equal the dense `Csls{k}` + `Greedy` path bit for bit.
+/// argmax streams out of the affine-argmax kernel. Decisions equal the
+/// dense `Csls{k}` + `Greedy` path bit for bit. A distance metric runs
+/// that dense path. `block` affects nothing (see [`DEFAULT_BLOCK`]).
 pub fn streaming_csls(
     source: &Matrix,
     target: &Matrix,
     metric: SimilarityMetric,
     k: usize,
-    block: usize,
+    _block: usize,
 ) -> Matching {
     assert!(k >= 1, "CSLS requires k >= 1");
-    assert!(block > 0, "block size must be positive");
     assert_eq!(
         source.cols(),
         target.cols(),
         "source and target embeddings must share a dimensionality"
     );
-    let n_s = source.rows();
-    let n_t = target.rows();
-    if n_s == 0 || n_t == 0 {
-        return Matching::new(vec![None; n_s]);
+    if source.rows() == 0 || target.rows() == 0 {
+        return Matching::new(vec![None; source.rows()]);
     }
     if metric == SimilarityMetric::Cosine {
         return streaming_csls_at(source, Targets::Resident(target), k, Precision::F32)
             .expect("dims checked above");
     }
-
-    // Pass 1: top-k accumulators on both sides.
-    let mut top_s: Vec<TopKAccumulator> = (0..n_s).map(|_| TopKAccumulator::new(k)).collect();
-    let mut top_t: Vec<TopKAccumulator> = (0..n_t).map(|_| TopKAccumulator::new(k)).collect();
-    let mut start = 0usize;
-    while start < n_t {
-        let end = (start + block).min(n_t);
-        let idx: Vec<usize> = (start..end).collect();
-        let strip = target.select_rows(&idx).expect("block in range");
-        let scores = similarity_matrix(source, &strip, metric);
-        for (i, acc) in top_s.iter_mut().enumerate() {
-            for (local, &v) in scores.row(i).iter().enumerate() {
-                acc.push((start + local) as u32, v);
-                top_t[start + local].push(i as u32, v);
-            }
-        }
-        start = end;
-    }
-    let phi_s: Vec<f32> = top_s.iter().map(TopKAccumulator::mean).collect();
-    let phi_t: Vec<f32> = top_t.iter().map(TopKAccumulator::mean).collect();
-
-    // Pass 2: argmax of the corrected scores.
-    let mut best = vec![None; n_s];
-    let mut start = 0usize;
-    while start < n_t {
-        let end = (start + block).min(n_t);
-        let idx: Vec<usize> = (start..end).collect();
-        let strip = target.select_rows(&idx).expect("block in range");
-        let scores = similarity_matrix(source, &strip, metric);
-        for (i, slot) in best.iter_mut().enumerate() {
-            for (local, &v) in scores.row(i).iter().enumerate() {
-                let corrected = 2.0 * v - phi_s[i] - phi_t[start + local];
-                argmax_step(slot, start + local, corrected);
-            }
-        }
-        start = end;
-    }
-    Matching::new(picks(best))
+    let corrected = Csls { k }.apply(similarity_matrix(source, target, metric));
+    Greedy.run(&corrected, &MatchContext::default())
 }
 
-/// Peak auxiliary bytes of the streaming kernels for an `n_s x n_t`
-/// instance — the number the scalability experiment compares against the
-/// dense pipelines' O(n^2). The fused cosine path's footprint (normalized
-/// copies + heaps + one score tile) is bounded by the same expression,
-/// which also counts the fused CSLS scan's per-participant column state:
-/// every pool participant scanning at once holds its own top-k values, a
-/// count and a floor for each target, `4 * (k + 2)` bytes per target, so
-/// that term grows with the pool width ([`workers`]).
-pub fn streaming_aux_bytes(n_s: usize, n_t: usize, k: usize, block: usize, dim: usize) -> usize {
-    let strip = block.min(n_t) * n_s * 4; // one similarity strip / tile set
+/// Peak auxiliary bytes of streamed cosine CSLS for an `n_s x n_t`
+/// instance at width `dim` — the number the scalability experiment
+/// compares against the dense pipelines' O(n^2). An upper bound, the sum
+/// of everything the fused plan holds: the normalized source and target
+/// copies, the packed targets, the two top-k heaps, and for every pool
+/// participant scanning at once ([`workers`]) its column state (top-k
+/// values, a count and a floor per target, `4 * (k + 2)` bytes each) and
+/// one score tile. The normalized target copy is freed once packed, so
+/// the measured peak sits below the sum.
+pub fn streaming_aux_bytes(n_s: usize, n_t: usize, k: usize, dim: usize) -> usize {
+    let normalized = (n_s + n_t) * dim * 4;
+    let packed = n_t.div_ceil(NR) * NR * dim * 4;
     let heaps = (n_s + n_t) * k * 4;
-    let block_rows = block.min(n_t) * dim * 4;
     let column_state = workers() * n_t * (k + 2) * 4;
-    strip + heaps + block_rows + column_state + n_s * 8
+    let tiles = workers() * MAX_TILE_BYTES;
+    normalized + packed + heaps + column_state + tiles
 }
 
 #[cfg(test)]
@@ -531,7 +478,7 @@ mod tests {
     #[test]
     fn aux_bytes_are_far_below_dense() {
         let dense = 70_000usize * 70_000 * 4;
-        let streaming = streaming_aux_bytes(70_000, 70_000, 10, DEFAULT_BLOCK, 64);
+        let streaming = streaming_aux_bytes(70_000, 70_000, 10, 64);
         assert!(
             streaming * 10 < dense,
             "streaming {streaming} vs dense {dense}"

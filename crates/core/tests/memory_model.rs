@@ -223,29 +223,24 @@ fn rl_measured_against_its_model() {
 #[test]
 fn streaming_csls_measured_linear_in_n() {
     let _lock = locked();
-    let (d, k, block) = (32usize, 5usize, 128usize);
+    let (d, k) = (32usize, 5usize);
     let run = |n: usize, seed: u64| {
         let s = random_embeddings(n, d, seed);
         let t = random_embeddings(n, d, seed + 1);
-        // Distance metric: the strip-at-a-time path whose footprint
-        // streaming_aux_bytes models directly.
-        measured(|| {
-            streaming_csls(&s, &t, SimilarityMetric::Euclidean, k, block)
-        })
+        // Cosine: the fused plan whose footprint streaming_aux_bytes
+        // models.
+        measured(|| streaming_csls(&s, &t, SimilarityMetric::Cosine, k, 128))
     };
     let p1 = run(256, 5);
     let p2 = run(512, 7);
-    let model = streaming_aux_bytes(512, 512, k, block, d) as u64;
-    assert!(
-        p2 >= (block * 512 * 4) as u64,
-        "one similarity strip must be measurable: {p2} B"
-    );
+    let model = streaming_aux_bytes(512, 512, k, d) as u64;
     assert!(
         p2 <= 3 * model + SLACK,
         "streaming CSLS modeled {model} B; measured {p2} B"
     );
-    // Doubling n must not quadruple the peak: the strip, heaps, and
-    // per-source state are all linear (a dense pass would scale 4x).
+    // Doubling n must not quadruple the peak: the normalized copies, the
+    // packed targets, the heaps and the column state are all linear (a
+    // dense pass would scale 4x).
     assert!(
         p2 < 3 * p1,
         "peak must scale linearly: n=256 -> {p1} B, n=512 -> {p2} B"

@@ -1,6 +1,8 @@
 //! Experiment grid runner: one cell = (KG pair, encoder setting, matching
 //! algorithm) -> quality + efficiency numbers. Drives every table of the
-//! reproduction.
+//! reproduction. Cells run one at a time, so each cell's wall time (the
+//! tables' T(s) column) is its own pipeline's alone; its kernels still
+//! fan out over the worker pool.
 
 use crate::encoders::EncoderKind;
 use crate::metrics::{evaluate_links, AlignmentScores};
@@ -11,8 +13,6 @@ use entmatcher_embed::UnifiedEmbeddings;
 use entmatcher_graph::KgPair;
 use entmatcher_support::json::{FromJson, Json, JsonError, Map, ToJson};
 use entmatcher_support::telemetry;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Result of one experiment cell.
@@ -39,7 +39,7 @@ impl ToJson for CellResult {
         m.insert("dataset", &self.dataset);
         m.insert("encoder", &self.encoder);
         m.insert("algorithm", &self.algorithm);
-        m.insert("scores", &self.scores);
+        m.insert("scores", self.scores);
         m.insert("elapsed", self.elapsed.as_secs_f64());
         m.insert("peak_aux_bytes", self.peak_aux_bytes);
         Json::Obj(m)
@@ -80,7 +80,7 @@ pub fn run_cell(
     let ctx = task.context(pair);
     let mut pipeline = preset.build();
     if pad_dummies && preset.spec().one_to_one == OneToOne::Yes {
-        pipeline = pipeline.with_dummies(0.9);
+        pipeline = pipeline.with_dummies();
     }
     let report = pipeline.execute(&source, &target, &ctx);
     let links = task.matching_to_links(&report.matching);
@@ -96,43 +96,26 @@ pub fn run_cell(
 }
 
 /// Grid driver: encodes a pair once per encoder setting, then evaluates a
-/// list of algorithms against the shared embeddings. Algorithm cells run
-/// concurrently on a small worker pool (each cell's kernels are themselves
-/// row-parallel, so two workers saturate without oversubscribing).
-#[derive(Debug, Clone, Copy)]
+/// list of algorithms against the shared embeddings. Cells run in preset
+/// order on the calling thread; each cell's kernels are row-parallel on
+/// the pool.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExperimentGrid {
-    /// Number of algorithm cells evaluated concurrently.
-    pub workers: usize,
     /// Enable the dummy-node protocol (unmatchable setting).
     pub pad_dummies: bool,
-    /// When set, a reporter thread prints a progress/ETA line to stderr at
-    /// this interval while cells run (long table sweeps otherwise look
-    /// hung). `None` keeps the grid silent.
+    /// When set, a progress/ETA line goes to stderr after a cell
+    /// finishes, at most once per this interval (long table sweeps
+    /// otherwise look hung). `None` keeps the grid silent.
     pub progress: Option<Duration>,
-}
-
-impl Default for ExperimentGrid {
-    fn default() -> Self {
-        ExperimentGrid {
-            workers: 2,
-            pad_dummies: false,
-            progress: None,
-        }
-    }
 }
 
 /// One progress report for a running grid, e.g.
 /// `grid: 3/9 cells (33%), elapsed 12.3s, eta 24.6s, mean cell 4.1s`.
 /// `cell_time` is the summed wall time of the `done` finished cells (the
-/// per-cell mean; ETA comes from reporter-observed elapsed time, which
-/// accounts for worker parallelism). Before any cell finishes both
-/// estimates print as `?`.
+/// per-cell mean); the ETA extrapolates the grid's `elapsed` time. Before
+/// any cell finishes both estimates print as `?`.
 pub fn progress_line(done: usize, total: usize, elapsed: Duration, cell_time: Duration) -> String {
-    let pct = if total == 0 {
-        100
-    } else {
-        (100 * done) / total
-    };
+    let pct = (100 * done).checked_div(total).unwrap_or(100);
     let (eta, mean) = if done == 0 {
         ("?".to_owned(), "?".to_owned())
     } else {
@@ -168,69 +151,26 @@ impl ExperimentGrid {
         emb: &UnifiedEmbeddings,
         presets: &[AlgorithmPreset],
     ) -> Vec<CellResult> {
-        let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; presets.len()]);
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let cell_ns = AtomicU64::new(0);
-        let workers = self.workers.clamp(1, presets.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next = &next;
-                let done = &done;
-                let cell_ns = &cell_ns;
-                let results = &results;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= presets.len() {
-                        break;
-                    }
-                    let cell = run_cell(pair, encoder_prefix, emb, presets[i], self.pad_dummies);
-                    // Progress signal for long grids: one tick per finished
-                    // cell, readable from another thread via `snapshot()`.
-                    telemetry::add("grid.heartbeat", 1);
-                    cell_ns.fetch_add(cell.elapsed.as_nanos() as u64, Ordering::Relaxed);
-                    results.lock().expect("no panics hold the lock")[i] = Some(cell);
-                    done.fetch_add(1, Ordering::Release);
-                });
+        let start = Instant::now();
+        let mut last_line = start;
+        let mut cell_time = Duration::ZERO;
+        let mut results = Vec::with_capacity(presets.len());
+        for &preset in presets {
+            let cell = run_cell(pair, encoder_prefix, emb, preset, self.pad_dummies);
+            // Progress signal for long grids: one tick per finished cell,
+            // readable from another thread via `snapshot()`.
+            telemetry::add("grid.heartbeat", 1);
+            cell_time += cell.elapsed;
+            results.push(cell);
+            if let Some(interval) = self.progress {
+                if last_line.elapsed() >= interval {
+                    let (done, total) = (results.len(), presets.len());
+                    eprintln!("{}", progress_line(done, total, start.elapsed(), cell_time));
+                    last_line = Instant::now();
+                }
             }
-            if let Some(interval) = self.progress.filter(|_| !presets.is_empty()) {
-                let done = &done;
-                let cell_ns = &cell_ns;
-                let total = presets.len();
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    // Sleep in short slices so the reporter exits promptly
-                    // once the last cell lands instead of holding the scope
-                    // open for a full interval.
-                    'report: loop {
-                        let mut slept = Duration::ZERO;
-                        while slept < interval {
-                            if done.load(Ordering::Acquire) >= total {
-                                break 'report;
-                            }
-                            let step = (interval - slept).min(Duration::from_millis(25));
-                            std::thread::sleep(step);
-                            slept += step;
-                        }
-                        eprintln!(
-                            "{}",
-                            progress_line(
-                                done.load(Ordering::Acquire),
-                                total,
-                                start.elapsed(),
-                                Duration::from_nanos(cell_ns.load(Ordering::Relaxed)),
-                            )
-                        );
-                    }
-                });
-            }
-        });
+        }
         results
-            .into_inner()
-            .expect("no panics hold the lock")
-            .into_iter()
-            .map(|c| c.expect("every cell computed"))
-            .collect()
     }
 }
 
@@ -291,7 +231,6 @@ mod tests {
             AlgorithmPreset::Hungarian,
         ];
         let grid = ExperimentGrid {
-            workers: 3,
             ..Default::default()
         };
         let results = grid.run_with_embeddings(&pair, "G-", &emb, &presets);
@@ -323,7 +262,8 @@ mod tests {
             let name = format!("cell:{}/G-{}", pair.id, p.name());
             let cell = trace.span(&name).unwrap_or_else(|| panic!("{name} span"));
             // Each cell wraps a full pipeline execution, recorded as a
-            // child span of the cell (workers make cells trace roots).
+            // child span of the cell (no span is open around the grid, so
+            // cells are trace roots).
             assert!(trace
                 .children(cell.id)
                 .iter()
@@ -359,9 +299,8 @@ mod tests {
         let pair = small_pair();
         let emb = EncoderKind::Gcn.encode(&pair);
         let presets = [AlgorithmPreset::DInf, AlgorithmPreset::Csls];
-        // A short interval forces several reporter wake-ups mid-run; the
-        // scope only exits once the reporter thread does, so completion IS
-        // the termination assertion.
+        // A short interval prints a line after every cell; the progress
+        // lines must not change what the cells compute.
         let grid = ExperimentGrid {
             progress: Some(Duration::from_millis(5)),
             ..Default::default()
@@ -385,9 +324,9 @@ mod tests {
         ExperimentGrid::default().run_with_embeddings(&pair, "G-", &emb, &presets);
         let trace = telemetry::snapshot();
         telemetry::set_enabled(false);
-        // Every cell ran on a scope worker, so its span records a real
-        // thread lane (lanes are 1-based) shared with its pipeline child —
-        // that is what groups the Perfetto view into per-worker rows.
+        // Every cell runs on the calling thread, so its span records that
+        // thread's lane (lanes are 1-based), shared with its pipeline
+        // child — the Perfetto view shows the grid as one row.
         for span in trace.spans_named("cell:toy/G-DInf") {
             assert!(span.tid >= 1, "cell span missing thread lane");
             let child = trace
@@ -396,6 +335,45 @@ mod tests {
                 .find(|s| s.name == "pipeline")
                 .expect("pipeline child");
             assert_eq!(child.tid, span.tid, "stage ran on the cell's thread");
+        }
+    }
+
+    #[test]
+    fn grid_cells_run_one_at_a_time_on_the_calling_thread() {
+        let _guard = crate::telemetry_test_lock();
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        let pair = small_pair();
+        let emb = EncoderKind::Gcn.encode(&pair);
+        let presets = [
+            AlgorithmPreset::DInf,
+            AlgorithmPreset::Csls,
+            AlgorithmPreset::StableMarriage,
+        ];
+        // A prefix no other test uses: cells of grids that run at the
+        // same time without the lock stay out of the check.
+        ExperimentGrid::default().run_with_embeddings(&pair, "alone-", &emb, &presets);
+        let trace = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        let mut cells: Vec<_> = (trace.spans.iter())
+            .filter(|s| s.name.starts_with("cell:toy/alone-"))
+            .collect();
+        assert_eq!(cells.len(), presets.len());
+        cells.sort_by_key(|s| s.start_ns);
+        // A cell's T(s) is its own work only if no other cell runs beside
+        // it.
+        for w in cells.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(
+                a.start_ns + a.duration_ns <= b.start_ns,
+                "{} overlaps {}",
+                a.name,
+                b.name
+            );
+        }
+        let lane = telemetry::thread_lane();
+        for cell in &cells {
+            assert_eq!(cell.tid, lane, "{} left the calling thread", cell.name);
         }
     }
 

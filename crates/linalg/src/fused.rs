@@ -52,6 +52,9 @@ const TILE_ROWS: usize = 16;
 /// the scratch buffer past ~128 KiB.
 const MAX_TILE_STRIPS: usize = 256;
 
+/// Upper bound of one scan task's score-tile scratch, in bytes.
+pub const MAX_TILE_BYTES: usize = TILE_ROWS * MAX_TILE_STRIPS * NR * 4;
+
 /// Scores compared per filter step (one 256-bit vector of f32).
 const LANES: usize = 8;
 
@@ -631,17 +634,18 @@ mod tests {
         let b = seq_matrix(41, 7, 2);
         let dense = matmul_naive(&a, &b).unwrap();
         let fused = fused_topk(&a, &b, 5).unwrap();
-        for i in 0..a.rows() {
+        assert_eq!(fused.len(), a.rows());
+        for (i, row) in fused.iter().enumerate() {
             let want = top_k_desc(dense.row(i), 5);
-            let got: Vec<usize> = fused[i].iter().map(|&(j, _)| j as usize).collect();
+            let got: Vec<usize> = row.iter().map(|&(j, _)| j as usize).collect();
             // Value sequences must agree exactly (indices can differ only
             // under exact value ties).
             assert_eq!(got.len(), want.len());
-            for (g, w) in fused[i].iter().zip(want.iter()) {
+            for (g, w) in row.iter().zip(want.iter()) {
                 assert_eq!(g.1, dense.get(i, *w), "row {i}");
             }
             // And fused scores are the dense scores at the picked columns.
-            for &(j, v) in &fused[i] {
+            for &(j, v) in row {
                 assert_eq!(v, dense.get(i, j as usize));
             }
         }
@@ -673,13 +677,10 @@ mod tests {
         let dense = matmul_naive(&a, &b).unwrap();
         for k in [1usize, 3, 10, 100] {
             let fused = fused_topk_means(&a, &b, k).unwrap();
-            for i in 0..a.rows() {
+            assert_eq!(fused.len(), a.rows());
+            for (i, &got) in fused.iter().enumerate() {
                 let want = top_k_mean(dense.row(i), k);
-                assert!(
-                    (fused[i] - want).abs() < 1e-5,
-                    "k={k} row {i}: {} vs {want}",
-                    fused[i]
-                );
+                assert!((got - want).abs() < 1e-5, "k={k} row {i}: {got} vs {want}");
             }
         }
     }
@@ -690,8 +691,9 @@ mod tests {
         let b = seq_matrix(27, 6, 6);
         let dense = matmul_naive(&a, &b).unwrap();
         let fused = fused_argmax_affine(&a, &b, 1.0, None, None).unwrap();
-        for i in 0..a.rows() {
-            assert_eq!(fused[i].map(|j| j as usize), argmax(dense.row(i)), "row {i}");
+        assert_eq!(fused.len(), a.rows());
+        for (i, pick) in fused.iter().enumerate() {
+            assert_eq!(pick.map(|j| j as usize), argmax(dense.row(i)), "row {i}");
         }
     }
 
@@ -702,14 +704,15 @@ mod tests {
         let dense = matmul_naive(&a, &b).unwrap();
         let col_off: Vec<f32> = (0..12).map(|j| (j as f32) * -0.35).collect();
         let fused = fused_argmax_affine(&a, &b, 2.0, None, Some(&col_off)).unwrap();
-        for i in 0..a.rows() {
+        assert_eq!(fused.len(), a.rows());
+        for (i, pick) in fused.iter().enumerate() {
             let corrected: Vec<f32> = dense
                 .row(i)
                 .iter()
                 .enumerate()
                 .map(|(j, &s)| 2.0 * s + col_off[j])
                 .collect();
-            assert_eq!(fused[i].map(|j| j as usize), argmax(&corrected), "row {i}");
+            assert_eq!(pick.map(|j| j as usize), argmax(&corrected), "row {i}");
         }
     }
 

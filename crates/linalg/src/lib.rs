@@ -51,7 +51,7 @@ pub use gemm::{
     matmul_blocked, matmul_blocked_packed, matmul_blocked_packed_with, matmul_blocked_with,
     pack_snapshot_stream, PackedAny, PackedBuilder,
 };
-pub use quant::{quantize_roundtrip, Precision, QuantizedMatrix};
+pub use quant::{quantize_roundtrip, Precision};
 pub use simd::SimdLevel;
 pub use matrix::Matrix;
 pub use ops::{dot, l2_norm, matmul_naive, matmul_transposed, normalize_rows_l2};

@@ -22,15 +22,11 @@
 //! — the same discipline as [`crate::simd`]. The FMA opt-in applies only
 //! to the f32 kernel (quantized kernels always use separate mul+add).
 //!
-//! [`QuantizedMatrix`] is the row-store counterpart of the packed operand,
-//! used for accuracy round-trips ([`quantize_roundtrip`]).
-//!
-//! Telemetry (when enabled): `quant.pack` span, `quant.packed_bytes`,
-//! `quant.rows`; `quant.dequant` span + `quant.dequant_bytes`.
+//! [`quantize_roundtrip`] applies the same per-element codecs to a whole
+//! matrix: the f32 matrix a quantized operand stands for, the reference
+//! the kernel tests compare against.
 
 use crate::matrix::Matrix;
-use crate::parallel::{par_row_chunks_mut_grained, Grain};
-use entmatcher_support::telemetry;
 
 /// Storage precision for embedding operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -190,140 +186,26 @@ pub fn dequantize_value_int8(q: i8, scale: f32) -> f32 {
     q as f32 * scale
 }
 
-// ---------------------------------------------------------------------------
-// QuantizedMatrix: row-store quantized embeddings
-// ---------------------------------------------------------------------------
-
-/// A row-major matrix stored at reduced precision: the row-store
-/// counterpart of a quantized [`crate::gemm::PackedAny`], used for
-/// accuracy round-trips.
-#[derive(Debug, Clone)]
-pub struct QuantizedMatrix {
-    precision: Precision,
-    rows: usize,
-    cols: usize,
-    /// binary16 payload (`precision == F16`), else empty.
-    h: Vec<u16>,
-    /// int8 payload (`precision == Int8`), else empty.
-    q: Vec<i8>,
-    /// Per-row scales (`precision == Int8`), else empty.
-    scales: Vec<f32>,
-}
-
-impl QuantizedMatrix {
-    /// Quantizes a matrix. `precision` must not be [`Precision::F32`]
-    /// (keep full-precision matrices as [`Matrix`]).
-    pub fn quantize(m: &Matrix, precision: Precision) -> QuantizedMatrix {
-        assert!(
-            precision != Precision::F32,
-            "QuantizedMatrix stores reduced precisions only"
-        );
-        let _span = telemetry::span("quant.pack");
-        let (rows, cols) = m.shape();
-        let mut out = QuantizedMatrix {
-            precision,
-            rows,
-            cols,
-            h: Vec::new(),
-            q: Vec::new(),
-            scales: Vec::new(),
-        };
-        match precision {
-            Precision::F16 => {
-                out.h = m.as_slice().iter().map(|&v| f32_to_f16_bits(v)).collect();
-            }
-            Precision::Int8 => {
-                out.q = vec![0i8; rows * cols];
-                out.scales = Vec::with_capacity(rows);
-                for r in 0..rows {
-                    let row = m.row(r);
-                    let scale = int8_row_scale(row);
-                    out.scales.push(scale);
-                    let dst = &mut out.q[r * cols..(r + 1) * cols];
-                    for (d, &v) in dst.iter_mut().zip(row.iter()) {
-                        *d = quantize_value_int8(v, scale);
-                    }
-                }
-            }
-            Precision::F32 => unreachable!(),
-        }
-        telemetry::add("quant.rows", rows as u64);
-        telemetry::add("quant.packed_bytes", out.heap_bytes() as u64);
-        out
-    }
-
-    /// Storage precision.
-    #[inline]
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Heap bytes held by the quantized buffers.
-    pub fn heap_bytes(&self) -> usize {
-        self.h.capacity() * 2 + self.q.capacity() + self.scales.capacity() * 4
-    }
-
-    /// Dequantizes row `r` into `out` (length `cols`).
-    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
-        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
-        assert_eq!(out.len(), self.cols, "output length mismatch");
-        match self.precision {
-            Precision::F16 => {
-                let src = &self.h[r * self.cols..(r + 1) * self.cols];
-                for (o, &b) in out.iter_mut().zip(src.iter()) {
-                    *o = f16_bits_to_f32(b);
-                }
-            }
-            Precision::Int8 => {
-                let scale = self.scales[r];
-                let src = &self.q[r * self.cols..(r + 1) * self.cols];
-                for (o, &qv) in out.iter_mut().zip(src.iter()) {
-                    *o = dequantize_value_int8(qv, scale);
-                }
-            }
-            Precision::F32 => unreachable!(),
-        }
-    }
-
-    /// Dequantizes the whole matrix back to f32 (parallel on the pool).
-    pub fn dequantize(&self) -> Matrix {
-        let mut span = telemetry::span("quant.dequant");
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        if self.rows > 0 && self.cols > 0 {
-            let grain = Grain::for_item_cost(self.cols);
-            let this = &*self;
-            par_row_chunks_mut_grained(out.as_mut_slice(), self.cols, grain, |start, chunk| {
-                for (i, dst) in chunk.chunks_exact_mut(this.cols).enumerate() {
-                    this.dequantize_row_into(start + i, dst);
-                }
-            });
-        }
-        span.add_bytes((self.rows * self.cols * 4) as u64);
-        telemetry::add("quant.dequant_bytes", (self.rows * self.cols * 4) as u64);
-        out
-    }
-}
-
 /// Quantizes then dequantizes `m` at `precision` — the f32 matrix the
-/// dequantize-fused kernels effectively operate on. [`Precision::F32`]
-/// returns a plain clone.
+/// dequantize-fused kernels effectively operate on. f16 round-trips every
+/// element ([`f16_roundtrip`]); int8 quantizes each row against its own
+/// [`int8_row_scale`]. [`Precision::F32`] returns a plain clone.
 pub fn quantize_roundtrip(m: &Matrix, precision: Precision) -> Matrix {
-    match precision {
-        Precision::F32 => m.clone(),
-        _ => QuantizedMatrix::quantize(m, precision).dequantize(),
+    let mut out = m.clone();
+    let cols = m.cols().max(1);
+    for row in out.as_mut_slice().chunks_exact_mut(cols) {
+        match precision {
+            Precision::F32 => {}
+            Precision::F16 => row.iter_mut().for_each(|v| *v = f16_roundtrip(*v)),
+            Precision::Int8 => {
+                let scale = int8_row_scale(row);
+                for v in row {
+                    *v = dequantize_value_int8(quantize_value_int8(*v, scale), scale);
+                }
+            }
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -369,8 +251,7 @@ mod tests {
     #[test]
     fn int8_error_is_bounded_by_half_scale() {
         let m = seq_matrix(17, 33, 3);
-        let q = QuantizedMatrix::quantize(&m, Precision::Int8);
-        let back = q.dequantize();
+        let back = quantize_roundtrip(&m, Precision::Int8);
         for r in 0..m.rows() {
             let scale = int8_row_scale(m.row(r));
             for c in 0..m.cols() {
@@ -412,19 +293,5 @@ mod tests {
         assert_eq!(Precision::F32.elem_bytes(), 4);
         assert_eq!(Precision::F16.elem_bytes(), 2);
         assert_eq!(Precision::Int8.elem_bytes(), 1);
-    }
-
-    #[test]
-    fn dequantize_row_into_matches_full_dequantize() {
-        let m = seq_matrix(6, 9, 4);
-        for precision in [Precision::F16, Precision::Int8] {
-            let q = QuantizedMatrix::quantize(&m, precision);
-            let full = q.dequantize();
-            let mut row = vec![0.0f32; 9];
-            for r in 0..6 {
-                q.dequantize_row_into(r, &mut row);
-                assert_eq!(&row[..], full.row(r), "{} row {r}", precision.name());
-            }
-        }
     }
 }

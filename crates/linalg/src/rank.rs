@@ -327,9 +327,10 @@ mod tests {
     fn col_maxes_match_column_scan() {
         let m = crate::matrix::Matrix::from_fn(6, 4, |r, c| ((r * 5 + c * 3) % 13) as f32 - 6.0);
         let maxes = col_maxes(&m);
-        for j in 0..4 {
+        assert_eq!(maxes.len(), 4);
+        for (j, &got) in maxes.iter().enumerate() {
             let want = m.col(j).iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            assert_eq!(maxes[j], want);
+            assert_eq!(got, want);
         }
         // NaN never wins; empty-row matrix reports NEG_INFINITY.
         let with_nan =

@@ -103,13 +103,15 @@ fn fused_means_and_argmax_match_dense_reductions() {
     let dense = matmul_naive(&a, &b).unwrap();
 
     let means = fused_topk_means(&a, &b, k).unwrap();
-    for i in 0..m {
-        assert_eq!(means[i], top_k_mean(dense.row(i), k), "row {i} mean");
+    assert_eq!(means.len(), m);
+    for (i, &mean) in means.iter().enumerate() {
+        assert_eq!(mean, top_k_mean(dense.row(i), k), "row {i} mean");
     }
 
     let picks = fused_argmax_affine(&a, &b, 1.0, None, None).unwrap();
-    for i in 0..m {
-        assert_eq!(picks[i].map(|j| j as usize), argmax(dense.row(i)), "row {i} argmax");
+    assert_eq!(picks.len(), m);
+    for (i, pick) in picks.iter().enumerate() {
+        assert_eq!(pick.map(|j| j as usize), argmax(dense.row(i)), "row {i} argmax");
     }
 }
 

@@ -21,12 +21,10 @@ use entmatcher_linalg::quant::{
     dequantize_value_int8, f16_bits_to_f32, f32_to_f16_bits, int8_row_scale, quantize_value_int8,
 };
 use entmatcher_linalg::simd::{MR_SIMD, ROW_STRIPS_I8, ROW_STRIPS_SIMD};
-use entmatcher_linalg::{
-    quantize_roundtrip, Matrix, PackedAny, Precision, QuantizedMatrix, SimdLevel,
-};
+use entmatcher_linalg::{quantize_roundtrip, Matrix, PackedAny, Precision, SimdLevel};
 use entmatcher_support::prop::{check, Config, Gen};
+use entmatcher_support::prop_assert;
 use entmatcher_support::rng::Rng;
-use entmatcher_support::{prop_assert, prop_assert_eq};
 
 fn cfg() -> Config {
     Config::with_cases(128)
@@ -186,32 +184,6 @@ fn int8_edge_rows_follow_the_documented_conventions() {
     assert_eq!(quantize_value_int8(f32::NAN, scale), 0);
     assert_eq!(quantize_value_int8(f32::INFINITY, scale), 127);
     assert_eq!(quantize_value_int8(f32::NEG_INFINITY, scale), -127);
-}
-
-#[test]
-fn quantized_matrix_dequantize_matches_value_level_round_trip() {
-    check("quantized_matrix_dequantize_matches", cfg(), |g| {
-        let rows = 1 + g.len_in(0, 9);
-        let cols = 1 + g.len_in(0, 17);
-        let m = Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols)
-                .map(|_| g.gen_range(-50.0f32..50.0))
-                .collect(),
-        )
-        .expect("sized");
-        for precision in [Precision::F16, Precision::Int8] {
-            let q = QuantizedMatrix::quantize(&m, precision);
-            let full = q.dequantize();
-            let mut row = vec![0.0f32; cols];
-            for r in 0..rows {
-                q.dequantize_row_into(r, &mut row);
-                prop_assert_eq!(&row[..], full.row(r));
-            }
-        }
-        Ok(())
-    });
 }
 
 // ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@
 //! Counting is **off by default** and costs exactly one relaxed atomic
 //! load per allocator call when off — no counter is ever written, which
 //! `tests/alloc_off.rs` pins exactly. It turns on via the
-//! `ENTMATCHER_MEM` environment variable (any non-empty value other than
-//! `0`) or [`set_enabled`]. The environment probe is lazy and reentrancy-
-//! safe: the probing thread parks the state machine in a "probing" state
-//! first, so the allocations `std::env::var` itself performs fall through
-//! uncounted instead of recursing.
+//! `ENTMATCHER_MEM` switch (any value but unset, empty, whitespace-only
+//! or `0`; [`crate::env::switch`]) or [`set_enabled`]. The environment
+//! probe is lazy and reentrancy-safe: the probing thread parks the state
+//! machine in a "probing" state first, so the allocations `std::env::var`
+//! itself performs fall through uncounted instead of recursing.
 //!
 //! # Attribution rules
 //!
@@ -59,8 +59,9 @@ use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Environment variable turning allocation counting on (any non-empty
-/// value other than `0`).
+/// Environment switch turning allocation counting on (the
+/// [`crate::env::switch`] rule: unset, empty, whitespace-only or `0` is
+/// off).
 pub const ENV_MEM: &str = "ENTMATCHER_MEM";
 
 /// Maximum number of simultaneously open heap scopes per thread that
@@ -105,7 +106,7 @@ fn probe_env() -> bool {
         // treat as off until the probe lands.
         return STATE.load(Ordering::Relaxed) == STATE_ON;
     }
-    let on = matches!(std::env::var(ENV_MEM), Ok(v) if !v.is_empty() && v != "0");
+    let on = crate::env::switch(ENV_MEM).is_some();
     STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
     on
 }

@@ -46,11 +46,12 @@ pub struct BenchStats {
 /// Re-exported name parity with `criterion::black_box`.
 pub use std::hint::black_box;
 
-/// Whether this bench run is a quick smoke: `ENTMATCHER_BENCH_QUICK=1`, or
-/// `--test`/`--quick` on the command line (cargo passes `--test` when it
-/// runs a bench target as a test).
+/// Whether this bench run is a quick smoke: the `ENTMATCHER_BENCH_QUICK`
+/// switch is on ([`crate::env::switch`]), or `--test`/`--quick` is on the
+/// command line (cargo passes `--test` when it runs a bench target as a
+/// test).
 pub fn quick_mode() -> bool {
-    std::env::var("ENTMATCHER_BENCH_QUICK").ok().as_deref() == Some("1")
+    crate::env::switch("ENTMATCHER_BENCH_QUICK").is_some()
         || std::env::args()
             .skip(1)
             .any(|a| a == "--test" || a == "--quick")

@@ -29,6 +29,8 @@
 //!   ([`telemetry::expose`]), Chrome/Perfetto trace export
 //!   ([`telemetry::chrome`]), and folded time and allocation profiles
 //!   computed from a recorded trace ([`telemetry::profile`]).
+//! - [`env`](mod@env) — the one reader of the `ENTMATCHER_*` switch convention
+//!   (unset, empty, whitespace-only and `0` all mean off).
 //! - [`http`] — the std-only HTTP/1.1 transport (keep-alive connection
 //!   workers, admission control, draining shutdown) that answers every
 //!   request from one route table; `/metrics`, `/healthz` and the
@@ -39,6 +41,7 @@
 
 pub mod alloc;
 pub mod bench;
+pub mod env;
 pub mod http;
 pub mod json;
 pub mod pool;

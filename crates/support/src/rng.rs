@@ -281,7 +281,7 @@ mod tests {
         // raw stream.
         let mut rng = StdRng::seed_from_u64(42);
         assert_eq!(rng.gen::<f64>(), 0.083_862_971_059_882_16);
-        assert_eq!(rng.gen::<f64>(), 0.378_980_250_662_668_61);
+        assert_eq!(rng.gen::<f64>(), 0.378_980_250_662_668_6);
         let mut rng = StdRng::seed_from_u64(42);
         assert_eq!(rng.gen_range(0..100usize), 8);
         assert_eq!(rng.gen_range(0..100usize), 37);

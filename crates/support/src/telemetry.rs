@@ -53,8 +53,9 @@
 //! uninstrumented run pays a few nanoseconds per site and allocates
 //! nothing. [`SpanGuard`] still carries its `Instant` so stage durations
 //! remain available to callers either way. The switch is the
-//! `ENTMATCHER_TRACE` environment variable (any non-empty value other than
-//! `0`) or a programmatic [`set_enabled`] call (the CLI's `--trace` flag).
+//! `ENTMATCHER_TRACE` switch (any value but unset, empty, whitespace-only
+//! or `0`; [`crate::env::switch`]) or a programmatic [`set_enabled`] call
+//! (the CLI's `--trace` flag).
 //!
 //! # Example
 //!
@@ -328,10 +329,7 @@ impl Telemetry {
         let hist = if state.histograms.contains_key(name) {
             state.histograms.get_mut(name).unwrap()
         } else {
-            state
-                .histograms
-                .entry(name.to_owned())
-                .or_insert_with(Hist::default)
+            state.histograms.entry(name.to_owned()).or_default()
         };
         if value.is_finite() {
             if hist.finite_count == 0 || value < hist.min {
@@ -534,8 +532,7 @@ impl Drop for SpanGuard<'_> {
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
 /// The process-global registry. Recording starts enabled iff the
-/// `ENTMATCHER_TRACE` environment variable is set to a non-empty value
-/// other than `0` at first use.
+/// `ENTMATCHER_TRACE` switch is on at first use.
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(|| {
         let t = Telemetry::new();
@@ -546,14 +543,12 @@ pub fn global() -> &'static Telemetry {
     })
 }
 
-/// The `ENTMATCHER_TRACE` setting, normalized: `None` when unset, empty, or
-/// `0`; otherwise the raw value. Values other than `1` are treated by the
-/// CLI as an output path for the trace document.
+/// The `ENTMATCHER_TRACE` switch ([`crate::env::switch`]): `None` when
+/// unset, empty, whitespace-only or `0`; otherwise the trimmed value.
+/// Values other than `1` are treated by the CLI as an output path for the
+/// trace document.
 pub fn env_trace_destination() -> Option<String> {
-    match std::env::var("ENTMATCHER_TRACE") {
-        Ok(v) if !v.is_empty() && v != "0" => Some(v),
-        _ => None,
-    }
+    crate::env::switch("ENTMATCHER_TRACE")
 }
 
 /// Whether the global registry is recording.

@@ -46,10 +46,10 @@ pub fn format_from(value: Option<&str>) -> TraceFormat {
     }
 }
 
-/// The format selected by the `ENTMATCHER_TRACE_FORMAT` environment
-/// variable.
+/// The format selected by the `ENTMATCHER_TRACE_FORMAT` switch, read by
+/// [`crate::env::switch`] (so surrounding whitespace is trimmed).
 pub fn env_format() -> TraceFormat {
-    format_from(std::env::var(ENV_FORMAT).ok().as_deref())
+    format_from(crate::env::switch(ENV_FORMAT).as_deref())
 }
 
 /// Builds the Chrome `trace_event` JSON document for a trace.

@@ -43,33 +43,17 @@ pub const ENV_ADDR: &str = "ENTMATCHER_METRICS_ADDR";
 /// alive after its command finishes.
 pub const ENV_LINGER_MS: &str = "ENTMATCHER_METRICS_LINGER_MS";
 
-/// The `ENTMATCHER_METRICS_ADDR` setting, normalized: `None` when unset,
-/// empty, whitespace-only, or `0` (the conventional "explicitly
-/// disabled" value shared by the `ENTMATCHER_*` switches).
+/// The `ENTMATCHER_METRICS_ADDR` switch ([`crate::env::switch`]): `None`
+/// when unset, empty, whitespace-only, or `0`; otherwise the trimmed
+/// address.
 pub fn env_metrics_addr() -> Option<String> {
-    normalize_addr(std::env::var(ENV_ADDR).ok().as_deref())
+    crate::env::switch(ENV_ADDR)
 }
 
-/// Pure normalization behind [`env_metrics_addr`]: trims surrounding
-/// whitespace, then treats empty and `0` as unset.
-pub fn normalize_addr(value: Option<&str>) -> Option<String> {
-    let v = value?.trim();
-    if v.is_empty() || v == "0" {
-        None
-    } else {
-        Some(v.to_owned())
-    }
-}
-
-/// The `ENTMATCHER_METRICS_LINGER_MS` setting (0 when unset or
-/// unparsable).
+/// The `ENTMATCHER_METRICS_LINGER_MS` switch (0 when off or unparsable).
 pub fn env_linger() -> Duration {
-    Duration::from_millis(
-        std::env::var(ENV_LINGER_MS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-    )
+    let ms = crate::env::switch(ENV_LINGER_MS).and_then(|v| v.parse().ok());
+    Duration::from_millis(ms.unwrap_or(0))
 }
 
 /// The exposition's two routes over `registry`: `GET /metrics`, rendered
@@ -353,20 +337,6 @@ mod tests {
         assert_eq!(sanitize("sinkhorn.col_dev"), "sinkhorn_col_dev");
         assert_eq!(sanitize("a-b c:d"), "a_b_c:d");
         assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn addr_normalization() {
-        assert_eq!(normalize_addr(None), None);
-        assert_eq!(normalize_addr(Some("")), None);
-        assert_eq!(normalize_addr(Some("0")), None);
-        assert_eq!(normalize_addr(Some("   ")), None, "whitespace-only is unset");
-        assert_eq!(normalize_addr(Some("\t 0 \n")), None, "whitespace around 0 is unset");
-        assert_eq!(
-            normalize_addr(Some(" 127.0.0.1:9464 ")),
-            Some("127.0.0.1:9464".to_owned()),
-            "surrounding whitespace is trimmed"
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
     // The paper's dummy-node protocol equalizes the sides; the 1-to-1
     // matchers then *abstain* on the surplus sources, recovering precision.
     for preset in [AlgorithmPreset::Hungarian, AlgorithmPreset::StableMarriage] {
-        let pipeline = preset.build().with_dummies(0.9);
+        let pipeline = preset.build().with_dummies();
         let r = pipeline.execute(&src, &tgt, &ctx);
         let links = task.matching_to_links(&r.matching);
         let scores = evaluate_links(&links, &task.gold);

@@ -20,6 +20,8 @@ export ENTMATCHER_BENCH_QUICK=1
 # both are listed so the bench targets AND the entmatcher binary (needed by
 # the smoke test below) are built.
 cargo build --release --offline --workspace --bins --benches
+# Lint every target (tests, benches, examples too); any warning fails.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline --workspace
 
 # Second pass with the execution engine pinned to its degenerate
