@@ -1,6 +1,6 @@
 //! The `entmatcher` command-line binary (see the crate docs for usage).
 
-use entmatcher_support::{env, json, telemetry};
+use entmatcher_support::env;
 
 // The counting allocator backs `ENTMATCHER_MEM=1` and `--mem-profile`.
 // When neither is active it forwards straight to the system allocator
@@ -12,24 +12,6 @@ static ALLOCATOR: entmatcher_support::alloc::CountingAlloc =
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = entmatcher_cli::run(&argv);
-    // ENTMATCHER_TRACE=<path> dumps the whole process's trace at exit;
-    // "1" (or any non-path switch value) only enables recording, leaving
-    // export to `--trace FILE`. ENTMATCHER_TRACE_FORMAT=chrome switches
-    // the dump to Chrome trace_event JSON.
-    if let Some(dest) = telemetry::env_trace_destination() {
-        if dest != "1" {
-            let trace = telemetry::snapshot();
-            let text = match telemetry::chrome::env_format() {
-                telemetry::chrome::TraceFormat::Chrome => {
-                    telemetry::chrome::to_chrome_string(&trace)
-                }
-                telemetry::chrome::TraceFormat::Native => json::to_string_pretty(&trace),
-            };
-            if let Err(e) = std::fs::write(&dest, text) {
-                eprintln!("warning: could not write trace to {dest}: {e}");
-            }
-        }
-    }
     dump_env_switches();
     match result {
         Ok(report) => println!("{report}"),
@@ -51,7 +33,7 @@ fn dump_env_switches() {
         return;
     }
     const SWITCHES: &[(&str, &str)] = &[
-        ("ENTMATCHER_TRACE", "record telemetry; a path dumps it at exit"),
+        ("ENTMATCHER_TRACE", "record telemetry; a path exports it there"),
         ("ENTMATCHER_TRACE_FORMAT", "trace export format (chrome|native)"),
         ("ENTMATCHER_METRICS_ADDR", "serve /metrics on this address"),
         ("ENTMATCHER_METRICS_LINGER_MS", "keep /metrics up after the command"),

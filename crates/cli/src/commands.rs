@@ -51,29 +51,30 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Dispatches a parsed command line, wrapping it in the flight-recorder
-/// surfaces the caller asked for:
+/// Dispatches a parsed command line under a fresh telemetry registry,
+/// installed as the thread's current one for the command, wrapped in the
+/// flight-recorder surfaces the caller asked for:
 ///
-/// - `--trace FILE` resets and enables the global registry for the
-///   command and exports the trace to `FILE` (whether the command
-///   succeeds or fails, so aborted runs stay diagnosable) — as the native
-///   JSON document, or as Chrome `trace_event` JSON when
-///   `ENTMATCHER_TRACE_FORMAT=chrome`.
-/// - `--profile FILE` resets and enables the registry like `--trace` and,
-///   when the command ends, writes the fold of its trace to `FILE` as
-///   collapsed-stack lines weighted by self microseconds
-///   ([`telemetry::profile::fold`]).
+/// - `--trace FILE` records the command and exports its trace to `FILE`
+///   (whether the command succeeds or fails, so aborted runs stay
+///   diagnosable) — as the native JSON document, or as Chrome
+///   `trace_event` JSON when `ENTMATCHER_TRACE_FORMAT=chrome`.
+///   `ENTMATCHER_TRACE=FILE` exports the same document to `FILE` as well;
+///   any other value of the switch (`1`) only records.
+/// - `--profile FILE` records like `--trace` and, when the command ends,
+///   writes the fold of its trace to `FILE` as collapsed-stack lines
+///   weighted by self microseconds ([`telemetry::profile::fold`]).
 /// - `--metrics ADDR` (or `ENTMATCHER_METRICS_ADDR`) serves the live
 ///   registry over HTTP for the duration of the command; the bound
 ///   address is printed to stderr (port 0 picks an ephemeral port) and
 ///   the server lingers `ENTMATCHER_METRICS_LINGER_MS` after the command
 ///   so short runs stay scrapable.
 /// - `--mem-profile FILE` turns on the counting allocator for the command
-///   and resets the registry like `--trace`; when the command ends it
-///   writes the fold of the trace weighted by self allocated bytes to
-///   `FILE`, plus a `(no span)` line for the bytes allocated outside any
-///   span. With `ENTMATCHER_MEM=1` set instead, counting is on for the
-///   whole process. Either way every telemetry span carries measured heap
+///   and records like `--trace`; when the command ends it writes the fold
+///   of the trace weighted by self allocated bytes to `FILE`, plus a
+///   `(no span)` line for the bytes allocated outside any span. With
+///   `ENTMATCHER_MEM=1` set instead, counting is on for the whole
+///   process. Either way every telemetry span carries measured heap
 ///   fields, telemetry recording is enabled so the measurements have spans
 ///   to land on, and final `mem.*` counters are folded into the registry
 ///   after the command (so they appear in `--trace` exports and on
@@ -85,6 +86,8 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
     let trace_path = args.get("trace").map(std::path::PathBuf::from);
     let profile_path = args.get("profile").map(std::path::PathBuf::from);
     let mem_profile_path = args.get("mem-profile").map(std::path::PathBuf::from);
+    let env_trace = telemetry::env_trace_destination();
+    let env_trace_path = env_trace.as_deref().filter(|&dest| dest != "1");
     let metrics_addr = args
         .get("metrics")
         .map(str::to_owned)
@@ -94,18 +97,20 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
         alloc::set_enabled(true);
     }
     let allocated_before = alloc::stats().total_bytes;
-    let was_enabled = telemetry::enabled();
-    let snapshot_wanted =
-        trace_path.is_some() || profile_path.is_some() || mem_profile_path.is_some();
-    if snapshot_wanted {
-        telemetry::reset();
-    }
-    if snapshot_wanted || metrics_addr.is_some() || alloc::enabled() {
-        telemetry::set_enabled(true);
-    }
+    let snapshot_wanted = trace_path.is_some()
+        || profile_path.is_some()
+        || mem_profile_path.is_some()
+        || env_trace_path.is_some();
+    // Leaked: the `--metrics` and `serve` transports hold a `'static`
+    // registry. One per command.
+    let registry: &'static telemetry::Telemetry = Box::leak(Box::default());
+    registry.set_enabled(
+        snapshot_wanted || env_trace.is_some() || metrics_addr.is_some() || alloc::enabled(),
+    );
+    let _installed = registry.install();
     let server = match &metrics_addr {
         Some(addr) => {
-            let server = telemetry::expose::MetricsServer::start(telemetry::global(), addr)
+            let server = telemetry::expose::MetricsServer::start(registry, addr)
                 .map_err(|e| CliError::Failed(format!("--metrics {addr}: {e}")))?;
             eprintln!("metrics: serving http://{}/metrics", server.addr());
             Some(server)
@@ -126,7 +131,7 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
 
     let mut notes = Vec::new();
     let allocated = alloc::stats().total_bytes.saturating_sub(allocated_before);
-    let trace = snapshot_wanted.then(telemetry::snapshot);
+    let trace = snapshot_wanted.then(|| registry.snapshot());
     if let (Some(path), Some(trace)) = (&mem_profile_path, &trace) {
         let mut stacks = profile::fold(trace, profile::Weight::HeapBytes);
         let in_spans = stacks.values().fold(0u64, |sum, &w| sum.saturating_add(w));
@@ -140,21 +145,29 @@ pub fn run_command(args: &ParsedArgs) -> Result<String, CliError> {
         let stacks = profile::fold(trace, profile::Weight::Micros);
         notes.push(write_profile("profile", path, &stacks, "us")?);
     }
-    if let (Some(path), Some(trace)) = (&trace_path, &trace) {
-        let text = match telemetry::chrome::env_format() {
+    let text = trace
+        .as_ref()
+        .map(|trace| match telemetry::chrome::env_format() {
             telemetry::chrome::TraceFormat::Chrome => telemetry::chrome::to_chrome_string(trace),
             telemetry::chrome::TraceFormat::Native => {
                 entmatcher_support::json::to_string_pretty(trace)
             }
-        };
+        });
+    if let (Some(path), Some(text)) = (&trace_path, &text) {
         std::fs::write(path, text)?;
         notes.push(format!("trace written to {}", path.display()));
+    }
+    // The switch's dump is not on the command line: a failed write warns
+    // instead of failing the command.
+    if let (Some(dest), Some(text)) = (env_trace_path, &text) {
+        if let Err(e) = std::fs::write(dest, text) {
+            eprintln!("warning: could not write trace to {dest}: {e}");
+        }
     }
     if let Some(server) = server {
         std::thread::sleep(telemetry::expose::env_linger());
         server.shutdown();
     }
-    telemetry::set_enabled(was_enabled);
     if notes.is_empty() {
         result
     } else {
@@ -562,10 +575,11 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
             Response::text("200 OK", "shutting down\n")
         })
     };
-    let routes = telemetry::expose::routes(telemetry::global())
+    let registry = telemetry::current();
+    let routes = telemetry::expose::routes(registry)
         .with(service.routes())
         .with(stop_route);
-    let server = Server::bind(telemetry::global(), &addr, server_cfg, routes)
+    let server = Server::bind(registry, &addr, server_cfg, routes)
         .map_err(|e| CliError::Failed(format!("serve --addr {addr}: {e}")))?;
     let bound = server.addr();
     eprintln!(

@@ -122,8 +122,8 @@ observability:
                      heap_allocated minus its children's), plus a
                      '(no span)' line for bytes allocated outside any
                      span — flamegraph.pl / speedscope render it directly.
-  Alternatively set ENTMATCHER_TRACE=FILE to record the whole process and
-  dump the trace at exit, or ENTMATCHER_TRACE=1 to record without dumping.
+  Alternatively set ENTMATCHER_TRACE=FILE to record the command and export
+  its trace to FILE, or ENTMATCHER_TRACE=1 to record without exporting.
   Unset, empty, blank or 0, telemetry is off and costs one atomic load
   per site.
   ENTMATCHER_MEM=1 enables measured memory observability: every span in

@@ -217,6 +217,47 @@ fn whitespace_only_trace_switch_is_off() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `ENTMATCHER_TRACE=<path>` writes the command's trace to that path,
+/// alone and next to `--trace FILE`; with both, the two files name the
+/// same spans.
+#[test]
+fn trace_switch_path_exports_the_command_trace() {
+    let (root, data, emb) = setup("env-trace");
+    let run = |tag: &str, extra: &[&str]| {
+        let dump = root.join(format!("{tag}-dump.json"));
+        let output = Command::new(BIN)
+            .args(match_args(&data, &emb, &root.join(format!("{tag}.tsv"))))
+            .args(extra)
+            .env("ENTMATCHER_TRACE", &dump)
+            .env_remove("ENTMATCHER_TRACE_FORMAT")
+            .output()
+            .expect("spawn entmatcher");
+        assert!(
+            output.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        dump
+    };
+    let span_names = |path: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(path).expect("trace written");
+        let trace: entmatcher_support::telemetry::Trace =
+            entmatcher_support::json::from_str(&text).expect("trace parses");
+        let mut names: Vec<String> = trace.spans.into_iter().map(|s| s.name).collect();
+        names.sort();
+        names
+    };
+
+    let alone = span_names(&run("alone", &[]));
+    assert!(alone.iter().any(|n| n == "pipeline"), "spans: {alone:?}");
+
+    let flag = root.join("flag.json");
+    let dump = span_names(&run("both", &["--trace", flag.to_str().unwrap()]));
+    assert!(dump.iter().any(|n| n == "pipeline"), "spans: {dump:?}");
+    assert_eq!(dump, span_names(&flag));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// Runs one `match` with an extra profile flag writing to `file`, checks
 /// the report line and the folded file's shape, and returns the file's
 /// `(stack, weight)` lines.

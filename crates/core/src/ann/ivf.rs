@@ -381,14 +381,13 @@ mod tests {
 
     #[test]
     fn search_counts_reach_telemetry() {
-        let _guard = crate::telemetry_test_lock();
-        telemetry::set_enabled(true);
-        telemetry::reset();
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let (queries, target) = pair(120, 8, 4);
         let index = IvfIndex::build(&target, &IvfParams::default());
         let _ = index.search(&queries, 5, 2);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert!(trace.spans_named("ann.train").next().is_some());
         assert!(trace.spans_named("ann.probe").next().is_some());
         assert!(trace.counter("ann.probed_lists").unwrap_or(0) >= 120 * 2);

@@ -62,11 +62,3 @@ pub use streaming::{
 
 /// Result alias for fallible core operations.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-/// Serializes tests that toggle the process-global telemetry switch, so
-/// concurrent tests in this binary can't disable each other's recording.
-#[cfg(test)]
-pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

@@ -895,13 +895,11 @@ mod tests {
         };
         assert_eq!(solve(&rows, 2, 2).1, counts);
 
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         run(&s);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
-        // Other tests may solve while recording is on: at least this one's.
+        let trace = registry.snapshot();
         for (name, want) in [
             ("hungarian.row_scans", counts.row_scans),
             ("hungarian.min_passes", counts.min_passes),

@@ -425,20 +425,19 @@ mod tests {
     fn execution_report_is_a_view_of_the_trace() {
         use entmatcher_support::telemetry;
 
-        let _guard = crate::telemetry_test_lock();
         let (s, t) = toy_embeddings();
         let p = MatchPipeline::new(
             SimilarityMetric::Cosine,
             Box::new(Csls::default()),
             Box::new(Greedy),
         );
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let r = p.execute(&s, &t, &MatchContext::default());
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
 
-        // Other tests may run concurrently with telemetry enabled, so
-        // locate *our* spans by their exact recorded durations.
+        // The pipeline span is the one whose duration the report carries.
         let pipeline = trace
             .spans_named("pipeline")
             .find(|sp| sp.duration_ns == r.elapsed.as_nanos() as u64)
@@ -602,14 +601,14 @@ mod tests {
     fn quantized_similarity_emits_pack_span() {
         use entmatcher_support::telemetry;
 
-        let _guard = crate::telemetry_test_lock();
         let (s, t) = toy_embeddings();
         let p = MatchPipeline::new(SimilarityMetric::Cosine, Box::new(NoOp), Box::new(Greedy))
             .with_precision(Precision::Int8);
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let r = p.execute(&s, &t, &MatchContext::default());
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
 
         let sim = trace
             .spans_named("similarity")
@@ -630,7 +629,6 @@ mod tests {
         use entmatcher_data::{clustered_embeddings, EmbeddingSpec};
         use entmatcher_support::telemetry;
 
-        let _guard = crate::telemetry_test_lock();
         let pair = clustered_embeddings(&EmbeddingSpec {
             entities: 80,
             dim: 16,
@@ -645,10 +643,11 @@ mod tests {
             Box::new(Greedy),
         )
         .with_candidates(IvfParams::default(), 8);
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let r = p.execute(&pair.source, &pair.target, &MatchContext::default());
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
 
         let sim = trace
             .spans_named("similarity")
@@ -671,7 +670,6 @@ mod tests {
     fn padded_run_emits_pad_span_under_match() {
         use entmatcher_support::telemetry;
 
-        let _guard = crate::telemetry_test_lock();
         let s = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 0.4, 0.4]).unwrap();
         let t = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         let p = MatchPipeline::new(
@@ -680,10 +678,11 @@ mod tests {
             Box::new(Hungarian),
         )
         .with_dummies();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let r = p.execute(&s, &t, &MatchContext::default());
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
 
         let match_span = trace
             .spans_named("match")

@@ -479,17 +479,16 @@ mod tests {
 
     #[test]
     fn telemetry_counts_iterations_and_convergence() {
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let s = Matrix::from_fn(6, 6, |r, c| ((r * 5 + c * 3) % 7) as f32 * 0.1);
         Sinkhorn {
             iterations: 25,
             temperature: 0.1,
         }
         .apply(s);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert!(trace.counter("sinkhorn.iterations").unwrap_or(0) >= 25);
         let dev = trace
             .histogram("sinkhorn.col_dev")
@@ -513,9 +512,9 @@ mod tests {
         // Row 1 and column 0 sit about 1.9 below the maximum, so `K` is
         // subnormal there at tau = 0.02. Moving the whole scale into `v`
         // would ask for a column scale near 2^144 in the second round.
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let data = vec![
             -1.838_922_3,
             0.080_089_69,
@@ -526,8 +525,7 @@ mod tests {
         ];
         let s = Matrix::from_vec(2, 3, data).unwrap();
         let out = Sinkhorn::default().apply(s.clone());
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert!(trace.counter("sinkhorn.folds").unwrap_or(0) >= 1);
         assert!(out.as_slice().iter().all(|x| x.is_finite()), "{out:?}");
         let want = reference(Sinkhorn::default(), &s, to_f32);

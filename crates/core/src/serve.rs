@@ -29,6 +29,13 @@
 //!
 //! # Observability (the headline)
 //!
+//! A service records into the telemetry registry that was current on the
+//! thread that started it ([`telemetry::current`]): requests record there
+//! from whichever thread asks, and the batch worker installs it for its
+//! lifetime, so the kernel and pool records of each batch pass land there
+//! too. `entmatcher serve` starts its service under the command's own
+//! registry, which its `/metrics` route renders.
+//!
 //! Every request gets a process-unique `req_id`, returned in the response
 //! and stamped on a root `serve.request` span ([`SpanRecord::req`], wire
 //! v4) whose children reconstruct the request's path through the service:
@@ -259,6 +266,8 @@ struct BatchReply {
 
 struct Inner {
     cfg: ServeConfig,
+    /// The registry current when the service started.
+    telemetry: &'static Telemetry,
     source: Matrix,
     /// Exact-scan operand; `None` when IVF owns the row storage.
     packed: Option<PackedAny>,
@@ -283,16 +292,9 @@ struct Inner {
 pub enum TargetIndex {
     /// Resident target embeddings, packed at startup.
     Matrix(Matrix),
-    /// A pre-packed operand (e.g. from `pack_snapshot_stream`) plus its
-    /// row count.
-    Packed {
-        /// The packed GEMM operand.
-        packed: PackedAny,
-        /// Number of target rows the operand covers.
-        rows: usize,
-        /// Operand dimensionality.
-        dim: usize,
-    },
+    /// A pre-packed operand (e.g. from `pack_snapshot_stream`); its row
+    /// count and depth are the operand's own.
+    Packed(PackedAny),
 }
 
 /// A running matching service: a warm index, a batch worker, and an LRU
@@ -308,7 +310,7 @@ impl MatchService {
     /// normalize both sides first for cosine, as everywhere in `linalg`).
     pub fn start(source: Matrix, target: TargetIndex, cfg: ServeConfig) -> Result<MatchService> {
         let dim = source.cols();
-        let (packed, n_targets, target_dim) = match target {
+        let packed = match target {
             TargetIndex::Matrix(m) => {
                 let (rows, cols) = (m.rows(), m.cols());
                 // IVF owns the row storage in its posting lists; packing
@@ -324,7 +326,7 @@ impl MatchService {
                 });
                 return Self::finish_start(source, packed, ivf, rows, cols, dim, cfg);
             }
-            TargetIndex::Packed { packed, rows, dim } => (packed, rows, dim),
+            TargetIndex::Packed(packed) => packed,
         };
         if cfg.ivf.is_some() {
             return Err(CoreError::BadParameter {
@@ -332,7 +334,8 @@ impl MatchService {
                 constraint: "ivf serving requires a resident target matrix (no --stream-chunk)",
             });
         }
-        Self::finish_start(source, Some(packed), None, n_targets, target_dim, dim, cfg)
+        let (rows, cols) = (packed.n(), packed.d());
+        Self::finish_start(source, Some(packed), None, rows, cols, dim, cfg)
     }
 
     fn finish_start(
@@ -359,6 +362,7 @@ impl MatchService {
         let cache_capacity = cfg.cache_capacity;
         let inner = Arc::new(Inner {
             cfg,
+            telemetry: telemetry::current(),
             source,
             packed,
             ivf,
@@ -406,7 +410,7 @@ impl MatchService {
     /// what the batching queue coalesces.
     pub fn top_k(&self, query: &Query, k: usize) -> Result<TopKResult> {
         let inner = &self.inner;
-        let t = telemetry::global();
+        let t = inner.telemetry;
         let req_id = inner.next_req.fetch_add(1, Ordering::Relaxed) + 1;
         let started = Instant::now();
         let inflight = inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -421,7 +425,7 @@ impl MatchService {
             t.add("serve.rejected", 1);
             return Err(CoreError::Overloaded { retry_after_s: 1 });
         }
-        let out = self.top_k_inner(req_id, query, k, started, t);
+        let out = self.top_k_inner(req_id, query, k, started);
         let inflight = inner.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
         t.set_gauge("serve.inflight", inflight as f64);
         t.add("serve.requests", 1);
@@ -434,9 +438,9 @@ impl MatchService {
         query: &Query,
         k: usize,
         started: Instant,
-        t: &'static Telemetry,
     ) -> Result<TopKResult> {
         let inner = &self.inner;
+        let t = inner.telemetry;
         if k == 0 {
             return Err(CoreError::BadParameter {
                 name: "k",
@@ -626,7 +630,7 @@ impl Drop for MatchService {
 /// `batch_wait` for more (up to `batch_max`), and serves the whole batch
 /// with one probe pass.
 fn worker_loop(inner: &Arc<Inner>) {
-    let t = telemetry::global();
+    let _installed = inner.telemetry.install();
     loop {
         let first = {
             let mut queue = inner.queue.lock().expect("serve queue lock poisoned");
@@ -669,13 +673,14 @@ fn worker_loop(inner: &Arc<Inner>) {
         }
         {
             let queue = inner.queue.lock().expect("serve queue lock poisoned");
-            t.set_gauge("serve.queue_depth", queue.len() as f64);
+            telemetry::set_gauge("serve.queue_depth", queue.len() as f64);
         }
-        serve_batch(inner, t, batch);
+        serve_batch(inner, batch);
     }
 }
 
-fn serve_batch(inner: &Arc<Inner>, t: &'static Telemetry, batch: Vec<Pending>) {
+fn serve_batch(inner: &Arc<Inner>, batch: Vec<Pending>) {
+    let t = inner.telemetry;
     let pickup_ns = t.now_ns();
     let pickup = Instant::now();
     let total_rows: usize = batch.iter().map(|p| p.rows.rows()).sum();
@@ -912,7 +917,6 @@ fn render_topk_json(res: &TopKResult, k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry_test_lock;
 
     fn toy_service(cfg: ServeConfig) -> MatchService {
         // 8 target rows spread on the unit circle in 2-d; source == target
@@ -1009,9 +1013,9 @@ mod tests {
 
     #[test]
     fn concurrent_requests_coalesce_into_batches() {
-        let _lock = telemetry_test_lock();
-        entmatcher_support::telemetry::reset();
-        entmatcher_support::telemetry::set_enabled(true);
+        let registry: &Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let mut cfg = ServeConfig {
             batch_wait: Duration::from_millis(40),
             record_spans: true,
@@ -1034,8 +1038,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         svc.stop();
-        let trace = entmatcher_support::telemetry::snapshot();
-        entmatcher_support::telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         // Some batch served more than one request (6 threads, 40 ms
         // linger: all but the first-picked batch coalesce).
         let batch_hist = trace.histogram("serve.batch_size").expect("batch histogram");
@@ -1067,9 +1070,9 @@ mod tests {
 
     #[test]
     fn cache_hits_skip_probe_spans() {
-        let _lock = telemetry_test_lock();
-        entmatcher_support::telemetry::reset();
-        entmatcher_support::telemetry::set_enabled(true);
+        let registry: &Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let svc = toy_service(ServeConfig {
             record_spans: true,
             ..ServeConfig::default()
@@ -1077,8 +1080,7 @@ mod tests {
         let miss = svc.top_k(&Query::Ids(vec![1]), 2).unwrap();
         let hit = svc.top_k(&Query::Ids(vec![1]), 2).unwrap();
         svc.stop();
-        let trace = entmatcher_support::telemetry::snapshot();
-        entmatcher_support::telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert_eq!(hit.cached, vec![true]);
         let miss_names: Vec<&str> = trace
             .spans_for_request(miss.req_id)
@@ -1100,10 +1102,28 @@ mod tests {
     }
 
     #[test]
+    fn requests_record_into_the_registry_current_at_start() {
+        let registry: &Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let svc = {
+            let _installed = registry.install();
+            toy_service(ServeConfig::default())
+        };
+        // Asked from a thread with nothing installed: the request's own
+        // records and the batch pass's kernel counters land in the
+        // service's registry all the same.
+        svc.top_k(&Query::Ids(vec![1, 2]), 2).unwrap();
+        svc.stop();
+        let trace = registry.snapshot();
+        assert_eq!(trace.counter("serve.requests"), Some(1));
+        assert_eq!(trace.counter("fused.rows"), Some(2));
+    }
+
+    #[test]
     fn saturated_inflight_fast_fails_with_overloaded() {
-        let _lock = telemetry_test_lock();
-        entmatcher_support::telemetry::reset();
-        entmatcher_support::telemetry::set_enabled(true);
+        let registry: &Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let svc = toy_service(ServeConfig {
             max_inflight: 1,
             cache_capacity: 0,
@@ -1140,8 +1160,7 @@ mod tests {
         // Rejections never decremented below zero and were counted.
         assert_eq!(svc.inner.inflight.load(Ordering::Relaxed), 0);
         svc.stop();
-        let trace = entmatcher_support::telemetry::snapshot();
-        entmatcher_support::telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert_eq!(trace.counter("serve.rejected"), Some(2));
         // A fresh request after the saturation window is admitted again.
     }
@@ -1165,11 +1184,7 @@ mod tests {
         let packed = PackedAny::pack(&m, Precision::F32);
         let err = MatchService::start(
             m,
-            TargetIndex::Packed {
-                packed,
-                rows: 2,
-                dim: 2,
-            },
+            TargetIndex::Packed(packed),
             ServeConfig {
                 ivf: Some(IvfParams::default()),
                 ..ServeConfig::default()
@@ -1179,10 +1194,53 @@ mod tests {
     }
 
     #[test]
+    fn packed_target_answers_as_its_matrix_and_brings_its_shape() {
+        let (n, d) = (41, 16);
+        let m = Matrix::from_fn(n, d, |r, c| {
+            (((r * 7 + c * 13) % 17) as f32 / 17.0 - 0.45) * (1 + r % 5) as f32
+        });
+        let bits = |res: TopKResult| -> Vec<(u32, u32)> {
+            let flat = res.results.into_iter().flatten();
+            flat.map(|(j, v)| (j, v.to_bits())).collect()
+        };
+        let ids: Vec<u32> = (0..n as u32).collect();
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let cfg = ServeConfig {
+                precision,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            };
+            let packed = TargetIndex::Packed(PackedAny::pack(&m, precision));
+            let from_packed = MatchService::start(m.clone(), packed, cfg.clone()).unwrap();
+            let matrix = TargetIndex::Matrix(m.clone());
+            let from_matrix = MatchService::start(m.clone(), matrix, cfg).unwrap();
+            assert_eq!((from_packed.n_targets(), from_packed.dim()), (n, d));
+            for query in std::iter::once(ids.clone()).chain(ids.iter().map(|&id| vec![id])) {
+                let query = Query::Ids(query);
+                let got = bits(from_packed.top_k(&query, 5).unwrap());
+                let want = bits(from_matrix.top_k(&query, 5).unwrap());
+                assert_eq!(got, want, "{} {query:?}", precision.name());
+            }
+            from_packed.stop();
+            from_matrix.stop();
+        }
+        // An operand packed at another depth than the source rows is
+        // refused at start, before any query reaches the batch worker.
+        let source = Matrix::from_fn(4, 16, |r, c| (r + c) as f32);
+        let narrow = Matrix::from_fn(4, 8, |r, c| (r * c) as f32);
+        let narrow = TargetIndex::Packed(PackedAny::pack(&narrow, Precision::F32));
+        let err = MatchService::start(source, narrow, ServeConfig::default()).err();
+        assert_eq!(
+            err,
+            Some(CoreError::DimMismatch {
+                source: 16,
+                target: 8
+            })
+        );
+    }
+
+    #[test]
     fn single_id_answers_equal_their_rows_of_a_batched_request() {
-        // Asserts on no telemetry, but its ~80 requests would land in the
-        // counters of a concurrently running test that does.
-        let _lock = telemetry_test_lock();
         // 41 targets in 16-d span six strips, so a many-id request runs
         // multi-row register blocks while a single id runs the one-row
         // block; with the cache off, every answer is computed.

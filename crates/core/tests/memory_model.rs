@@ -433,14 +433,13 @@ fn pipeline_report_measures_heap_within_modeled_envelope() {
     let cold = p.execute(&pair.source, &pair.target, &MatchContext::default());
     assert_eq!(cold.measured_heap_peak_bytes, 0);
 
-    telemetry::reset();
-    telemetry::set_enabled(true);
+    let registry: &telemetry::Telemetry = Box::leak(Box::default());
+    registry.set_enabled(true);
+    let _installed = registry.install();
     alloc::set_enabled(true);
     let r = p.execute(&pair.source, &pair.target, &MatchContext::default());
     alloc::set_enabled(false);
-    telemetry::set_enabled(false);
-    let trace = telemetry::snapshot();
-    telemetry::reset();
+    let trace = registry.snapshot();
 
     let sim_bytes = (pair.source.rows() * pair.target.rows() * 4) as u64;
     let measured = r.measured_heap_peak_bytes;

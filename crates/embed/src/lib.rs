@@ -39,11 +39,3 @@ pub use gcn::GcnEncoder;
 pub use names::NameEncoder;
 pub use rrea::RreaEncoder;
 pub use transe::TransEEncoder;
-
-/// Serializes tests that toggle the process-global telemetry switch, so
-/// concurrent tests in this binary can't disable each other's recording.
-#[cfg(test)]
-pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

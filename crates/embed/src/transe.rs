@@ -375,17 +375,16 @@ mod tests {
 
     #[test]
     fn telemetry_records_epoch_spans_and_loss() {
-        let _guard = crate::telemetry_test_lock();
         let pair = toy_pair();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         TransEEncoder {
             epochs: 4,
             ..Default::default()
         }
         .encode(&pair);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert!(
             trace.spans_named("transe.epoch").count() >= 4,
             "one span per epoch"

@@ -244,9 +244,9 @@ mod tests {
 
     #[test]
     fn grid_emits_cell_spans_and_heartbeat() {
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let pair = small_pair();
         let emb = EncoderKind::Gcn.encode(&pair);
         let presets = [
@@ -255,8 +255,7 @@ mod tests {
             AlgorithmPreset::StableMarriage,
         ];
         ExperimentGrid::default().run_with_embeddings(&pair, "G-", &emb, &presets);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         assert!(trace.counter("grid.heartbeat").unwrap_or(0) >= 3);
         for p in &presets {
             let name = format!("cell:{}/G-{}", pair.id, p.name());
@@ -315,15 +314,14 @@ mod tests {
 
     #[test]
     fn cell_spans_carry_worker_thread_lanes() {
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let pair = small_pair();
         let emb = EncoderKind::Gcn.encode(&pair);
         let presets = [AlgorithmPreset::DInf, AlgorithmPreset::Csls];
         ExperimentGrid::default().run_with_embeddings(&pair, "G-", &emb, &presets);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         // Every cell runs on the calling thread, so its span records that
         // thread's lane (lanes are 1-based), shared with its pipeline
         // child — the Perfetto view shows the grid as one row.
@@ -340,9 +338,9 @@ mod tests {
 
     #[test]
     fn grid_cells_run_one_at_a_time_on_the_calling_thread() {
-        let _guard = crate::telemetry_test_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
+        let registry: &telemetry::Telemetry = Box::leak(Box::default());
+        registry.set_enabled(true);
+        let _installed = registry.install();
         let pair = small_pair();
         let emb = EncoderKind::Gcn.encode(&pair);
         let presets = [
@@ -350,11 +348,8 @@ mod tests {
             AlgorithmPreset::Csls,
             AlgorithmPreset::StableMarriage,
         ];
-        // A prefix no other test uses: cells of grids that run at the
-        // same time without the lock stay out of the check.
         ExperimentGrid::default().run_with_embeddings(&pair, "alone-", &emb, &presets);
-        let trace = telemetry::snapshot();
-        telemetry::set_enabled(false);
+        let trace = registry.snapshot();
         let mut cells: Vec<_> = (trace.spans.iter())
             .filter(|s| s.name.starts_with("cell:toy/alone-"))
             .collect();

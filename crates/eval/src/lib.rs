@@ -29,11 +29,3 @@ pub use metrics::{evaluate_links, AlignmentScores};
 pub use ranking::{ranking_report, RankingReport};
 pub use significance::{bootstrap_f1, bootstrap_f1_difference, BootstrapInterval};
 pub use task::MatchTask;
-
-/// Serializes tests that toggle the process-global telemetry switch, so
-/// concurrent tests in this binary can't disable each other's recording.
-#[cfg(test)]
-pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

@@ -32,10 +32,14 @@
 //!
 //! # Telemetry
 //!
-//! When the global telemetry registry is recording, every completed job
-//! adds to the `pool.tasks` (tasks executed) and `pool.steals` (tasks
-//! claimed from another slot's range) counters, and each worker wraps its
-//! participation in a `pool.worker` span on its own thread lane — so pool
+//! A job records into its submitter's current telemetry registry
+//! ([`telemetry::current`]): each background worker installs that
+//! registry while it participates, so the job's tasks record where the
+//! submitter does, and a nested job inherits it the same way. When that
+//! registry is recording, every completed job adds to the `pool.tasks`
+//! (tasks executed) and `pool.steals` (tasks claimed from another slot's
+//! range) counters, and each worker wraps its participation in a
+//! `pool.worker` span on its own thread lane — so pool
 //! utilization is visible in `/metrics` (`entmatcher_pool_tasks_total`,
 //! `entmatcher_pool_steals_total`, and the per-span aggregate
 //! `entmatcher_span_seconds_total{span="pool.worker"}`) and worker
@@ -43,7 +47,7 @@
 //! stacks. The same numbers are available programmatically via
 //! [`Pool::stats`] whether or not telemetry is on.
 
-use crate::telemetry;
+use crate::telemetry::{self, Telemetry};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -94,6 +98,9 @@ struct Range {
 
 struct Job {
     task: TaskRef,
+    /// The submitter's current registry, installed by each background
+    /// worker while it participates.
+    telemetry: &'static Telemetry,
     ranges: Vec<Range>,
     /// Tasks not yet finished executing. The caller blocks until zero.
     pending: AtomicUsize,
@@ -228,6 +235,7 @@ impl Pool {
         });
         let job = Arc::new(Job {
             task,
+            telemetry: telemetry::current(),
             ranges,
             pending: AtomicUsize::new(tasks),
             done: Mutex::new(()),
@@ -342,6 +350,7 @@ fn worker_loop(shared: Arc<Shared>, slot: usize) {
                 queue = shared.work_cv.wait(queue).expect("pool queue wait poisoned");
             }
         };
+        let _installed = job.telemetry.install();
         participate(&job, slot, true);
     }
 }

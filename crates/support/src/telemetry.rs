@@ -6,7 +6,7 @@
 //! combination (Figure 5, Tables 6–8). This module makes that
 //! instrumentation a permanent subsystem instead of scattered
 //! `Instant::now()` calls: every pipeline stage, optimizer iteration,
-//! encoder epoch, and experiment-grid cell reports into one thread-safe
+//! encoder epoch, and experiment-grid cell reports into a thread-safe
 //! registry, and the whole run exports as a single JSON trace document.
 //!
 //! # Model
@@ -26,6 +26,19 @@
 //!   powers of two (`bucket = floor(log2(v))`), with exact count / sum /
 //!   min / max — the right shape for convergence deltas and losses that
 //!   span many orders of magnitude.
+//!
+//! # Which registry
+//!
+//! Library code records through the module-level functions ([`span`],
+//! [`add`], [`observe`], [`set_gauge`]), which act on the calling thread's
+//! [`current`] registry: the one a scope installed with
+//! [`Telemetry::install`], or else the process-global [`global`]. The CLI
+//! installs a fresh registry for each command and each test installs its
+//! own, so runs in one process never see each other's records; a process
+//! that installs nothing records into [`global`]. Work handed to another
+//! thread carries the registry along: a [`crate::pool`] job runs its tasks
+//! under its submitter's registry, and the serving layer's batch worker
+//! under the one current when its service started.
 //!
 //! # Flight-recorder surfaces
 //!
@@ -48,14 +61,16 @@
 //!
 //! # Overhead
 //!
-//! Recording is off by default. Every recording call first reads one
-//! relaxed atomic and returns immediately when disabled, so an
-//! uninstrumented run pays a few nanoseconds per site and allocates
-//! nothing. [`SpanGuard`] still carries its `Instant` so stage durations
-//! remain available to callers either way. The switch is the
-//! `ENTMATCHER_TRACE` switch (any value but unset, empty, whitespace-only
-//! or `0`; [`crate::env::switch`]) or a programmatic [`set_enabled`] call
-//! (the CLI's `--trace` flag).
+//! Recording is off by default. Every recording call first reads the
+//! thread's current registry and its relaxed enabled flag, and returns
+//! immediately when disabled, so an uninstrumented run pays a few
+//! nanoseconds per site and allocates nothing. [`SpanGuard`] still carries
+//! its `Instant` so stage durations remain available to callers either
+//! way. [`global`] starts recording when the `ENTMATCHER_TRACE` switch is
+//! on (any value but unset, empty, whitespace-only or `0`;
+//! [`crate::env::switch`]); any registry records after
+//! [`Telemetry::set_enabled`], which the CLI calls on each command's
+//! registry for `--trace` and the other flight-recorder flags.
 //!
 //! # Example
 //!
@@ -87,8 +102,9 @@ pub mod expose;
 pub mod profile;
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -111,9 +127,11 @@ pub const UNDERFLOW_BUCKET: i32 = i32::MIN;
 
 /// A thread-safe telemetry registry: spans, counters, and histograms.
 ///
-/// Most code uses the process-global registry through the module-level
-/// functions ([`span`], [`add`], [`observe`], [`snapshot`]); standalone
-/// instances exist so tests and embedders can collect in isolation.
+/// Library code records into the calling thread's [`current`] registry
+/// through the module-level functions ([`span`], [`add`], [`observe`],
+/// [`snapshot`]). A scope makes an instance current with
+/// [`Telemetry::install`]; code that holds an instance can also record
+/// into it directly.
 pub struct Telemetry {
     enabled: AtomicBool,
     epoch: Instant,
@@ -384,10 +402,14 @@ impl Telemetry {
         }
     }
 
-    /// Clears all recorded data (the enabled flag is untouched).
-    pub fn reset(&self) {
-        let mut state = self.state.lock().expect("telemetry lock poisoned");
-        *state = State::default();
+    /// Makes this registry the calling thread's [`current`] one until the
+    /// returned guard drops, which restores the one before it. Guards on
+    /// one thread must drop in the reverse order of their installs.
+    pub fn install(&'static self) -> Installed {
+        Installed {
+            prev: CURRENT.with(|c| c.replace(Some(self))),
+            _thread: PhantomData,
+        }
     }
 
     fn record(&self, open: OpenSpan, duration: Duration) {
@@ -526,10 +548,37 @@ impl Drop for SpanGuard<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Global registry
+// Global and current registry
 // ---------------------------------------------------------------------------
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
+
+// The registry the calling thread installed; `None` reads as `global()`.
+thread_local! {
+    static CURRENT: Cell<Option<&'static Telemetry>> = const { Cell::new(None) };
+}
+
+/// Guard returned by [`Telemetry::install`]: on drop, the thread's
+/// previous registry is current again. Not `Send`, since it restores the
+/// thread it was made on.
+pub struct Installed {
+    prev: Option<&'static Telemetry>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(self.prev));
+    }
+}
+
+/// The calling thread's registry: the one a live [`Telemetry::install`]
+/// guard put in place, otherwise [`global`]. The module-level recording
+/// functions all act on it.
+#[inline]
+pub fn current() -> &'static Telemetry {
+    CURRENT.with(Cell::get).unwrap_or_else(global)
+}
 
 /// The process-global registry. Recording starts enabled iff the
 /// `ENTMATCHER_TRACE` switch is on at first use.
@@ -551,35 +600,35 @@ pub fn env_trace_destination() -> Option<String> {
     crate::env::switch("ENTMATCHER_TRACE")
 }
 
-/// Whether the global registry is recording.
+/// Whether the [`current`] registry is recording.
 #[inline]
 pub fn enabled() -> bool {
-    global().is_enabled()
+    current().is_enabled()
 }
 
-/// Turns global recording on or off (the CLI's `--trace` entry point).
+/// Turns recording of the [`current`] registry on or off.
 pub fn set_enabled(on: bool) {
-    global().set_enabled(on);
+    current().set_enabled(on);
 }
 
-/// Opens a span on the global registry.
+/// Opens a span on the [`current`] registry.
 pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard<'static> {
-    global().span(name)
+    current().span(name)
 }
 
-/// Increments a global counter.
+/// Increments a counter of the [`current`] registry.
 pub fn add(name: &str, delta: u64) {
-    global().add(name, delta)
+    current().add(name, delta)
 }
 
-/// Records a sample into a global histogram.
+/// Records a sample into a histogram of the [`current`] registry.
 pub fn observe(name: &str, value: f64) {
-    global().observe(name, value)
+    current().observe(name, value)
 }
 
-/// Sets a global gauge.
+/// Sets a gauge of the [`current`] registry.
 pub fn set_gauge(name: &str, value: f64) {
-    global().set_gauge(name, value)
+    current().set_gauge(name, value)
 }
 
 /// Builds a labeled metric name, `base{key="value"}` — the registry's
@@ -601,14 +650,9 @@ pub fn labeled(base: &str, key: &str, value: &str) -> String {
     format!("{base}{{{key}=\"{escaped}\"}}")
 }
 
-/// Snapshots the global registry.
+/// Snapshots the [`current`] registry.
 pub fn snapshot() -> Trace {
-    global().snapshot()
-}
-
-/// Clears the global registry.
-pub fn reset() {
-    global().reset()
+    current().snapshot()
 }
 
 // ---------------------------------------------------------------------------
@@ -1197,8 +1241,6 @@ mod tests {
         let back =
             Trace::from_json(&crate::json::Json::parse(&trace.to_json().dump()).unwrap()).unwrap();
         assert_eq!(trace, back);
-        t.reset();
-        assert!(t.snapshot().gauges.is_empty());
     }
 
     #[test]
@@ -1277,19 +1319,6 @@ mod tests {
         assert_eq!(rec.duration_ns, d.as_nanos() as u64);
         assert_eq!(rec.bytes, 1024);
         assert_eq!(rec.duration(), d);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let t = Telemetry::new();
-        t.set_enabled(true);
-        drop(t.span("a"));
-        t.add("c", 1);
-        t.observe("h", 1.0);
-        t.reset();
-        let trace = t.snapshot();
-        assert!(trace.spans.is_empty() && trace.counters.is_empty() && trace.histograms.is_empty());
-        assert!(t.is_enabled(), "reset must not flip the enabled switch");
     }
 
     fn record(id: u64, parent: Option<u64>, name: &str, start_ns: u64, duration_ns: u64) -> SpanRecord {

@@ -16,7 +16,7 @@
 //! The CLI wires this up twice: `entmatcher trace --file T.json --chrome
 //! OUT.json` converts an already-exported trace document, and
 //! `ENTMATCHER_TRACE_FORMAT=chrome` makes `--trace FILE` (and the
-//! `ENTMATCHER_TRACE=<path>` exit dump) write this format instead of the
+//! `ENTMATCHER_TRACE=<path>` export) write this format instead of the
 //! native one.
 //!
 //! [`thread_lane`]: super::thread_lane

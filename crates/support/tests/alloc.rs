@@ -1,13 +1,14 @@
 //! End-to-end tests of the counting allocator under a real
-//! `#[global_allocator]` installation: process counters, telemetry span
+//! `#[global_allocator]` installation: scope balances, telemetry span
 //! attribution, attribution under the work-stealing pool, and span bytes
 //! folded into an allocation profile.
 //!
 //! Every test that enables counting serializes on one lock — the enable
 //! switch and the process counters are global. Counter assertions are
-//! `>=` where other harness threads may allocate concurrently; exact-zero
-//! behavior with counting off is pinned in `alloc_off.rs`, a separate
-//! process where counting is never enabled.
+//! `>=` where other harness threads may allocate concurrently. The process
+//! live balance, which every harness thread moves, is pinned in
+//! `alloc_process.rs`, and exact-zero behavior with counting off in
+//! `alloc_off.rs`: each a separate process with no other test.
 
 use entmatcher_support::alloc::{self, CountingAlloc};
 use entmatcher_support::pool::Pool;
@@ -24,30 +25,24 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// A free lowers the live balance of the scope open on the freeing
+/// thread: allocating, freeing and allocating 1 MiB again peaks near
+/// 1 MiB, not 2 MiB. Only this thread moves the scope.
 #[test]
-fn process_counters_track_alloc_and_free() {
+fn a_free_lowers_the_scope_live_balance() {
     let _lock = locked();
+    const BLOCK: u64 = 1 << 20;
     alloc::set_enabled(true);
-    let before = alloc::stats();
-    let block = vec![0u8; 1 << 20];
-    let during = alloc::stats();
-    assert!(
-        during.total_bytes >= before.total_bytes + (1 << 20),
-        "total must grow by at least the block size"
-    );
-    assert!(during.allocs > before.allocs);
-    assert!(during.live_bytes >= (1 << 20));
-    assert!(during.peak_bytes >= during.live_bytes.min(1 << 20));
-    drop(block);
-    let after = alloc::stats();
-    assert!(after.frees > during.frees);
-    assert!(
-        after.live_bytes <= during.live_bytes,
-        "freeing the block must lower the live balance"
-    );
-    // Peak is a high-water mark: it never drops on free.
-    assert!(after.peak_bytes >= during.peak_bytes.min(1 << 20));
+    let scope = alloc::HeapScope::open();
+    drop(std::hint::black_box(vec![0u8; BLOCK as usize]));
+    drop(std::hint::black_box(vec![0u8; BLOCK as usize]));
+    let stats = scope.finish();
     alloc::set_enabled(false);
+    assert!(stats.allocated >= 2 * BLOCK, "{stats:?}");
+    assert!(
+        stats.live_peak >= BLOCK && stats.live_peak < BLOCK + BLOCK / 2,
+        "the first block was freed before the second: {stats:?}"
+    );
 }
 
 #[test]
@@ -109,9 +104,11 @@ fn pool_task_allocations_land_on_worker_span_lanes() {
     const TASKS: usize = 64;
     const BYTES_PER_TASK: usize = 1 << 20;
     alloc::set_enabled(true);
-    // `pool.worker` spans record into the *global* registry.
-    entmatcher_support::telemetry::reset();
-    entmatcher_support::telemetry::set_enabled(true);
+    // The pool's workers record their `pool.worker` spans into the
+    // submitter's installed registry.
+    let registry: &Telemetry = Box::leak(Box::default());
+    registry.set_enabled(true);
+    let _installed = registry.install();
     let pool = Pool::new(4);
     {
         let _stage = entmatcher_support::telemetry::span("stage");
@@ -128,9 +125,7 @@ fn pool_task_allocations_land_on_worker_span_lanes() {
     // the workers (pool drop) closes every `pool.worker` span before the
     // snapshot.
     drop(pool);
-    entmatcher_support::telemetry::set_enabled(false);
-    let trace = entmatcher_support::telemetry::snapshot();
-    entmatcher_support::telemetry::reset();
+    let trace = registry.snapshot();
     alloc::set_enabled(false);
 
     let worker_alloc: u64 = trace

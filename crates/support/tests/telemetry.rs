@@ -1,8 +1,10 @@
-//! Integration tests for the telemetry layer: JSON wire-shape stability
-//! and thread-safety of the registry under concurrent recording.
+//! Integration tests for the telemetry layer: JSON wire-shape stability,
+//! thread-safety of the registry under concurrent recording, and which
+//! registry the module-level functions and pool workers record into.
 
 use entmatcher_support::json::{to_string_pretty, ToJson};
-use entmatcher_support::telemetry::{SpanGuard, Telemetry, Trace};
+use entmatcher_support::pool::Pool;
+use entmatcher_support::telemetry::{self, SpanGuard, Telemetry, Trace};
 
 /// Builds a small but fully-featured trace on a standalone registry:
 /// nested spans with byte attribution, counters, and histograms.
@@ -133,4 +135,89 @@ fn disabled_registry_records_nothing_but_still_times() {
     assert!(trace.spans.is_empty());
     assert!(trace.counters.is_empty());
     assert!(trace.histograms.is_empty());
+}
+
+/// Two threads each install a registry and run a job on one shared pool:
+/// each registry holds exactly its own job's task spans and counters, and
+/// the `pool.worker` spans of the background workers that ran its tasks.
+#[test]
+fn installed_registries_stay_apart_on_a_shared_pool() {
+    const TASKS: usize = 64;
+    let pool = Pool::new(4);
+    let registries: Vec<&'static Telemetry> = std::thread::scope(|scope| {
+        let jobs: Vec<_> = ["job.a", "job.b"]
+            .into_iter()
+            .map(|name| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let registry: &'static Telemetry = Box::leak(Box::default());
+                    registry.set_enabled(true);
+                    let _installed = registry.install();
+                    pool.run(TASKS, &|_| {
+                        let _span = telemetry::span(name);
+                        telemetry::add(name, 1);
+                        // Long enough for the background workers to claim
+                        // tasks of both jobs.
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    });
+                    registry
+                })
+            })
+            .collect();
+        jobs.into_iter().map(|job| job.join().unwrap()).collect()
+    });
+    // Joining the workers closes every `pool.worker` span.
+    drop(pool);
+    let mut worker_spans = 0;
+    let names = [("job.a", "job.b"), ("job.b", "job.a")];
+    for (registry, (own, other)) in registries.iter().zip(names) {
+        let trace = registry.snapshot();
+        assert_eq!(trace.counter(own), Some(TASKS as u64));
+        assert_eq!(trace.counter(other), None);
+        assert_eq!(trace.counter("pool.tasks"), Some(TASKS as u64));
+        assert_eq!(trace.spans_named(own).count(), TASKS);
+        assert_eq!(trace.spans_named(other).count(), 0);
+        for worker in trace.spans_named("pool.worker") {
+            worker_spans += 1;
+            let tasks = trace.children(worker.id);
+            assert!(!tasks.is_empty(), "a pool.worker span runs tasks");
+            assert!(tasks.iter().all(|s| s.name == own && s.tid == worker.tid));
+        }
+    }
+    assert!(worker_spans > 0, "the background workers ran no task");
+}
+
+/// With nothing installed, the module-level functions record into the
+/// global registry; an installed registry takes over until its guard
+/// drops, and nested installs restore the one before them.
+#[test]
+fn module_functions_record_into_the_current_registry() {
+    assert!(std::ptr::eq(telemetry::current(), telemetry::global()));
+    let was_enabled = telemetry::enabled();
+    telemetry::set_enabled(true);
+    telemetry::add("uninstalled.counter", 3);
+    drop(telemetry::span("uninstalled.span"));
+    let global = telemetry::global().snapshot();
+    telemetry::set_enabled(was_enabled);
+    assert_eq!(global.counter("uninstalled.counter"), Some(3));
+    assert!(global.span("uninstalled.span").is_some());
+
+    let outer: &'static Telemetry = Box::leak(Box::default());
+    let inner: &'static Telemetry = Box::leak(Box::default());
+    outer.set_enabled(true);
+    inner.set_enabled(true);
+    {
+        let _outer = outer.install();
+        {
+            let _inner = inner.install();
+            assert!(std::ptr::eq(telemetry::current(), inner));
+            telemetry::add("installed.counter", 1);
+        }
+        assert!(std::ptr::eq(telemetry::current(), outer));
+        telemetry::add("installed.counter", 2);
+    }
+    assert!(std::ptr::eq(telemetry::current(), telemetry::global()));
+    assert_eq!(inner.snapshot().counter("installed.counter"), Some(1));
+    assert_eq!(outer.snapshot().counter("installed.counter"), Some(2));
+    assert_eq!(telemetry::snapshot().counter("installed.counter"), None);
 }

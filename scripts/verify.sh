@@ -31,6 +31,11 @@ cargo test -q --offline --workspace
 echo "verify: re-running tests with ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off"
 ENTMATCHER_THREADS=1 ENTMATCHER_SIMD=off cargo test -q --offline --workspace
 
+# The end-to-end benchmark is a package of its own outside the workspace
+# (perfbench/); it calls the library's public API, so build and smoke-test
+# it here, where an API change that breaks it shows.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Telemetry smoke test: run a small end-to-end match with --trace and
 # check the exported JSON parses and contains the pipeline stage spans.
 SMOKE=$(mktemp -d)
